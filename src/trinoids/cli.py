@@ -104,6 +104,8 @@ def cmd_surface(args, cfg: Config) -> int:
     lam = float(args.lam)
     if args.obj is None and args.csv is None:
         raise ValueError("nothing to do: pass --obj and/or --csv")
+    if args.nx < 2 or args.ny < 2:
+        raise ValueError(f"--nx and --ny must be at least 2, got {args.nx} and {args.ny}")
     a = math.sqrt(1.0 + 4.0 * lam) if lam > -0.25 else 1.0
     if args.kind == "cousin":
         ymin = 0.0 if args.ymin is None else args.ymin

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import secrets
 from importlib import resources
 from typing import Iterable, Optional, Sequence
 
@@ -12,16 +13,25 @@ import numpy as np
 from .lines import OrientedLine
 from .surfaces import SurfaceGrid
 
-FLOAT_FMT = "%.17g"
+VERTEX_ROW = "v %.17g %.17g %.17g\n"
 
 
-def _fmt(x: float) -> str:
-    return FLOAT_FMT % float(x)
+def _format_rows(row_fmt: str, rows) -> str:
+    """Apply ``row_fmt`` to every row of a 2-D array in one ``%`` operation.
+
+    ``tolist`` hands ``%`` the same Python floats and ints that formatting
+    one element at a time would, so the text is byte-identical to that.
+    """
+    rows = np.asarray(rows)
+    return (row_fmt * len(rows)) % tuple(rows.reshape(-1).tolist())
 
 
-def check_writable(path: str, force: bool) -> None:
-    if os.path.exists(path) and not force:
-        raise FileExistsError(f"{path} exists; pass --force to overwrite")
+def _quads(nx: int, ny: int, offset: int = 0) -> np.ndarray:
+    """1-based corner indices (a, b, c, d) of the quads of an nx-by-ny grid,
+    row-major, for vertices numbered from ``offset + 1``."""
+    j, i = np.meshgrid(np.arange(ny - 1), np.arange(nx - 1), indexing="ij")
+    a = (offset + j * nx + i + 1).reshape(-1)
+    return np.stack([a, a + 1, a + nx + 1, a + nx], axis=1)
 
 
 def obj_from_grid(grid: SurfaceGrid) -> str:
@@ -31,41 +41,26 @@ def obj_from_grid(grid: SurfaceGrid) -> str:
     (y index outer, x index inner), indices are 1-based.
     """
     ny, nx, _ = grid.positions.shape
-    out = [f"# parametric grid {nx} x {ny}, model {grid.model.value}"]
-    for j in range(ny):
-        for i in range(nx):
-            p = grid.positions[j, i]
-            out.append("v " + " ".join(_fmt(v) for v in p))
-    for j in range(ny):
-        for i in range(nx):
-            n = grid.normals[j, i]
-            out.append("vn " + " ".join(_fmt(v) for v in n))
-    for j in range(ny - 1):
-        for i in range(nx - 1):
-            a = j * nx + i + 1
-            b = a + 1
-            c = a + nx + 1
-            d = a + nx
-            out.append(f"f {a}//{a} {b}//{b} {c}//{c} {d}//{d}")
-    return "\n".join(out) + "\n"
+    return "".join([
+        f"# parametric grid {nx} x {ny}, model {grid.model.value}\n",
+        _format_rows(VERTEX_ROW, grid.positions.reshape(-1, 3)),
+        _format_rows("vn %.17g %.17g %.17g\n", grid.normals.reshape(-1, 3)),
+        _format_rows("f %d//%d %d//%d %d//%d %d//%d\n", np.repeat(_quads(nx, ny), 2, axis=1)),
+    ])
 
 
 def csv_from_grid(grid: SurfaceGrid) -> str:
     """CSV rows x,y,px,py,pz,nx,ny,nz at full double precision."""
-    lines = ["x,y,px,py,pz,nx,ny,nz"]
-    ny, nx, _ = grid.positions.shape
-    for j in range(ny):
-        for i in range(nx):
-            row = [grid.xs[i], grid.ys[j], *grid.positions[j, i], *grid.normals[j, i]]
-            lines.append(",".join(_fmt(v) for v in row))
-    return "\n".join(lines) + "\n"
+    x, y = np.meshgrid(grid.xs, grid.ys)
+    table = np.column_stack([x.reshape(-1), y.reshape(-1),
+                             grid.positions.reshape(-1, 3), grid.normals.reshape(-1, 3)])
+    return "x,y,px,py,pz,nx,ny,nz\n" + _format_rows(",".join(["%.17g"] * 8) + "\n", table)
 
 
-def obj_from_segments(lines_in: Iterable[OrientedLine], box: float = 10.0) -> str:
-    """OBJ line elements for oriented lines clipped to [-box, box]^3."""
-    out = [f"# oriented lines clipped to the cube of half-width {_fmt(box)}"]
+def _segments(lines_in: Iterable[OrientedLine], box: float) -> tuple[str, int]:
+    """OBJ text of the clipped line elements, and how many vertices it holds."""
+    out = ["# oriented lines clipped to the cube of half-width %.17g\n" % box]
     vertex_count = 0
-    elements = []
     for line in lines_in:
         # clip by intersecting the parameter intervals per axis
         lo, hi = -np.inf, np.inf
@@ -79,12 +74,15 @@ def obj_from_segments(lines_in: Iterable[OrientedLine], box: float = 10.0) -> st
             lo, hi = max(lo, min(ta, tb)), min(hi, max(ta, tb))
         if not lo < hi:
             continue
-        for t in (lo, hi):
-            q = line.at(float(t))
-            elements.append("v " + " ".join(_fmt(v) for v in q))
+        out.append(_format_rows(VERTEX_ROW, [line.at(float(lo)), line.at(float(hi))]))
         vertex_count += 2
-        elements.append(f"l {vertex_count - 1} {vertex_count}")
-    return "\n".join(out + elements) + "\n"
+        out.append(f"l {vertex_count - 1} {vertex_count}\n")
+    return "".join(out), vertex_count
+
+
+def obj_from_segments(lines_in: Iterable[OrientedLine], box: float = 10.0) -> str:
+    """OBJ line elements for oriented lines clipped to [-box, box]^3."""
+    return _segments(lines_in, box)[0]
 
 
 def obj_from_segments_and_patches(lines_in: Iterable[OrientedLine],
@@ -95,28 +93,18 @@ def obj_from_segments_and_patches(lines_in: Iterable[OrientedLine],
     ``patches`` are (ny, nx, 3) position arrays; their vertex indices follow
     the line vertices.
     """
-    text = obj_from_segments(lines_in, box)
-    parts = [text.rstrip("\n")]
-    offset = sum(1 for row in text.splitlines() if row.startswith("v "))
+    text, offset = _segments(lines_in, box)
+    parts = [text]
     for patch in patches:
         ny, nx, _ = patch.shape
-        for j in range(ny):
-            for i in range(nx):
-                parts.append("v " + " ".join(_fmt(v) for v in patch[j, i]))
-        for j in range(ny - 1):
-            for i in range(nx - 1):
-                a = offset + j * nx + i + 1
-                b, c, d = a + 1, a + nx + 1, a + nx
-                parts.append(f"f {a} {b} {c} {d}")
+        parts.append(_format_rows(VERTEX_ROW, patch.reshape(-1, 3)))
+        parts.append(_format_rows("f %d %d %d %d\n", _quads(nx, ny, offset)))
         offset += ny * nx
-    return "\n".join(parts) + "\n"
+    return "".join(parts)
 
 
 def decay_csv(radii: Sequence[float], sups: Sequence[float]) -> str:
-    lines = ["radius,sup_distance"]
-    for r, s in zip(radii, sups):
-        lines.append(f"{_fmt(r)},{_fmt(s)}")
-    return "\n".join(lines) + "\n"
+    return "radius,sup_distance\n" + _format_rows("%.17g,%.17g\n", list(zip(radii, sups)))
 
 
 def to_plain(value):
@@ -150,8 +138,26 @@ def validate_against_schema(doc: dict, schema_name: str) -> None:
 
 
 def write_text(path: Optional[str], text: str, force: bool = False) -> None:
+    """Write ``text`` to ``path``; do nothing when ``path`` is None.
+
+    A failed write leaves no partial file behind.  Without ``force`` the file
+    is created exclusively, so an existing file is never touched.  With
+    ``force`` the text goes to a fresh file next to ``path`` that then
+    replaces it in one step.  Either way the new file gets the mode a plain
+    ``open`` gives.
+    """
     if path is None:
         return
-    check_writable(path, force)
-    with open(path, "w") as fh:
-        fh.write(text)
+    dest = f"{path}.{secrets.token_hex(8)}.tmp" if force else path
+    try:
+        fh = open(dest, "x")
+    except FileExistsError:
+        raise FileExistsError(f"{path} exists; pass --force to overwrite") from None
+    try:
+        with fh:
+            fh.write(text)
+        if force:
+            os.replace(dest, path)
+    except BaseException:
+        os.unlink(dest)
+        raise

@@ -2,8 +2,9 @@
 
 These deliberately avoid the code paths they check: displacement oracles
 evaluate closed-form antiderivatives at the endpoints instead of walking a
-quadrature path, and the direction oracle is a dense grid search on the
-sphere instead of a triangle solve.
+quadrature path, the direction oracle is a dense grid search on the
+sphere instead of a triangle solve, and the emitter oracles format one float
+at a time instead of a whole array at once.
 """
 
 import math
@@ -102,3 +103,91 @@ def direction_triple_hits(target_angles, res_deg: float = 1.0, tol_deg: float = 
 def triple_has_direction_solution(r_triple, res_deg: float = 1.0, tol_deg: float = 1.5) -> bool:
     s = [math.pi - r for r in r_triple]
     return bool(direction_triple_hits((s[0], s[1], s[2]), res_deg, tol_deg))
+
+
+# --- emitters ----------------------------------------------------------------
+# The original one-float-at-a-time emitters; trinoids.emit formats whole
+# arrays at once and must produce exactly the same bytes.
+
+def _fmt(x: float) -> str:
+    return "%.17g" % float(x)
+
+
+def obj_from_grid(grid) -> str:
+    ny, nx, _ = grid.positions.shape
+    out = [f"# parametric grid {nx} x {ny}, model {grid.model.value}"]
+    for j in range(ny):
+        for i in range(nx):
+            p = grid.positions[j, i]
+            out.append("v " + " ".join(_fmt(v) for v in p))
+    for j in range(ny):
+        for i in range(nx):
+            n = grid.normals[j, i]
+            out.append("vn " + " ".join(_fmt(v) for v in n))
+    for j in range(ny - 1):
+        for i in range(nx - 1):
+            a = j * nx + i + 1
+            b = a + 1
+            c = a + nx + 1
+            d = a + nx
+            out.append(f"f {a}//{a} {b}//{b} {c}//{c} {d}//{d}")
+    return "\n".join(out) + "\n"
+
+
+def csv_from_grid(grid) -> str:
+    lines = ["x,y,px,py,pz,nx,ny,nz"]
+    ny, nx, _ = grid.positions.shape
+    for j in range(ny):
+        for i in range(nx):
+            row = [grid.xs[i], grid.ys[j], *grid.positions[j, i], *grid.normals[j, i]]
+            lines.append(",".join(_fmt(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def obj_from_segments(lines_in, box: float = 10.0) -> str:
+    out = [f"# oriented lines clipped to the cube of half-width {_fmt(box)}"]
+    vertex_count = 0
+    elements = []
+    for line in lines_in:
+        lo, hi = -np.inf, np.inf
+        for k in range(3):
+            d, p = line.direction[k], line.point[k]
+            if abs(d) < 1e-15:
+                if abs(p) > box:
+                    lo, hi = 1.0, 0.0
+                continue
+            ta, tb = (-box - p) / d, (box - p) / d
+            lo, hi = max(lo, min(ta, tb)), min(hi, max(ta, tb))
+        if not lo < hi:
+            continue
+        for t in (lo, hi):
+            q = line.at(float(t))
+            elements.append("v " + " ".join(_fmt(v) for v in q))
+        vertex_count += 2
+        elements.append(f"l {vertex_count - 1} {vertex_count}")
+    return "\n".join(out + elements) + "\n"
+
+
+def obj_from_segments_and_patches(lines_in, patches, box: float = 10.0) -> str:
+    text = obj_from_segments(lines_in, box)
+    parts = [text.rstrip("\n")]
+    offset = sum(1 for row in text.splitlines() if row.startswith("v "))
+    for patch in patches:
+        ny, nx, _ = patch.shape
+        for j in range(ny):
+            for i in range(nx):
+                parts.append("v " + " ".join(_fmt(v) for v in patch[j, i]))
+        for j in range(ny - 1):
+            for i in range(nx - 1):
+                a = offset + j * nx + i + 1
+                b, c, d = a + 1, a + nx + 1, a + nx
+                parts.append(f"f {a} {b} {c} {d}")
+        offset += ny * nx
+    return "\n".join(parts) + "\n"
+
+
+def decay_csv(radii, sups) -> str:
+    lines = ["radius,sup_distance"]
+    for r, s in zip(radii, sups):
+        lines.append(f"{_fmt(r)},{_fmt(s)}")
+    return "\n".join(lines) + "\n"

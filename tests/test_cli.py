@@ -88,9 +88,11 @@ class TestSurface:
     def test_refuses_overwrite(self, capsys, tmp_path):
         obj = tmp_path / "h.obj"
         run(capsys, "surface", "helicoid", "1", "--obj", str(obj))
-        code, _, err = run(capsys, "surface", "helicoid", "1", "--obj", str(obj))
+        first = obj.read_text()
+        code, _, err = run(capsys, "surface", "helicoid", "1", "--nx", "5", "--obj", str(obj))
         assert code == 2
         assert "force" in err
+        assert obj.read_text() == first
         code, _, _ = run(capsys, "surface", "helicoid", "1", "--obj", str(obj), "--force")
         assert code == 0
 
@@ -120,6 +122,16 @@ class TestSurface:
     def test_no_output_requested(self, capsys):
         code, _, err = run(capsys, "surface", "catenoid", "1")
         assert code == 2
+
+    @pytest.mark.parametrize("nx,ny", [(0, 21), (1, 21), (21, 1), (-3, 2)])
+    def test_grid_too_small(self, capsys, tmp_path, nx, ny):
+        obj = tmp_path / "x.obj"
+        code, out, err = run(capsys, "surface", "helicoid", "1", "--nx", str(nx),
+                             "--ny", str(ny), "--obj", str(obj))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not obj.exists()
 
 
 class TestConstellation:
