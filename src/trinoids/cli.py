@@ -53,20 +53,13 @@ def cmd_classify(args, cfg: Config) -> int:
     phis = _parse_angles(args.phi, args.degrees)
     outcome = classify.classify_triple(*phis, eps_face=args.eps_face)
     deltas = [r / (2.0 * math.pi) for r in outcome.reduced]
-    d = deltas
-    bob_slacks = [
-        d[0] + d[1] + d[2] - 0.5,
-        0.5 - (d[0] + d[1] - d[2]),
-        0.5 - (d[0] - d[1] + d[2]),
-        0.5 - (-d[0] + d[1] + d[2]),
-    ]
     doc = {
         "phi": phis,
         "reduced": list(outcome.reduced),
         "tag": outcome.tag.value,
         "slacks": list(outcome.slacks),
         "bobenko_deltas": deltas,
-        "bobenko_slacks": bob_slacks,
+        "bobenko_slacks": list(classify.inequality_slacks(*deltas, 0.5)),
     }
     _emit(doc, "classify.schema.json", args.json, args.force)
     return EXIT_OK if outcome.tag is classify.TripleTag.GENERIC_ADMISSIBLE else EXIT_NEGATIVE
@@ -154,6 +147,10 @@ def cmd_constellation(args, cfg: Config) -> int:
 
 
 def cmd_verify_end(args, cfg: Config) -> int:
+    if args.fit_lam is not None:
+        params._check_lambda(args.fit_lam)
+    if args.min_radius_exp < 2:
+        raise ValueError(f"--min-radius-exp must be at least 2, got {args.min_radius_exp}")
     with open(args.data) as fh:
         doc = json.load(fh)
     try:
@@ -268,8 +265,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, cfg)
-    except (ValueError, FileExistsError, FileNotFoundError, json.JSONDecodeError,
-            TypeError) as exc:
+    except (ValueError, OSError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (constellation.ConstellationSolveError, weierstrass.QuadratureError,

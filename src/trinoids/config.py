@@ -1,8 +1,8 @@
 """Run configuration for the command line.
 
 Defaults can be overridden by a JSON file named by the TRINOIDS_CONFIG
-environment variable, then by command-line flags.  A fixed seed and fixed
-settings make every emitted artifact byte-identical across runs.
+environment variable, then by command-line flags.  No code path is random,
+so fixed settings make every emitted artifact byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -23,8 +23,6 @@ class Config:
     convention: PitchConvention = PitchConvention.HALF_GAP
     arc_samples: int = 33
     boundary_samples: int = 16
-    out_dir: str = "."
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if not self.tol > 0 or self.eps_face < 0:

@@ -3,14 +3,16 @@
 These deliberately avoid the code paths they check: displacement oracles
 evaluate closed-form antiderivatives at the endpoints instead of walking a
 quadrature path, the direction oracle is a dense grid search on the
-sphere instead of a triangle solve, and the emitter oracles format one float
-at a time instead of a whole array at once.
+sphere instead of a triangle solve, the emitter oracles format one float
+at a time instead of a whole array at once, and the classification oracles
+write out each slack formula and membership rule separately.
 """
 
 import math
 
 import numpy as np
 
+from trinoids.classify import Membership, TripleTag
 from trinoids.weierstrass import (
     ExponentialData,
     PowerEndData,
@@ -191,3 +193,162 @@ def decay_csv(radii, sups) -> str:
     for r, s in zip(radii, sups):
         lines.append(f"{_fmt(r)},{_fmt(s)}")
     return "\n".join(lines) + "\n"
+
+
+# --- classification ----------------------------------------------------------
+# The original classifier: one slack formula per entry point and a scalar
+# and a batch membership rule.  trinoids.classify shares one of each between
+# all entry points and must return exactly the same values.
+
+_PI = math.pi
+_TETRAHEDRON_VERTICES = np.array(
+    [[_PI, 0.0, 0.0], [0.0, _PI, 0.0], [0.0, 0.0, _PI], [_PI, _PI, _PI]]
+)
+
+
+def reduced_angle(phi: float) -> float:
+    m = float(phi) % (2.0 * _PI)
+    return min(m, 2.0 * _PI - m)
+
+
+def tetrahedron_slacks(r1: float, r2: float, r3: float) -> np.ndarray:
+    return np.array(
+        [
+            r1 + r2 + r3 - _PI,
+            _PI - (r1 + r2 - r3),
+            _PI - (r1 - r2 + r3),
+            _PI - (-r1 + r2 + r3),
+        ]
+    )
+
+
+def _membership_from_slacks(slacks: np.ndarray, eps: float) -> Membership:
+    if np.any(slacks < -eps):
+        return Membership.OUTSIDE
+    if np.any(slacks <= eps):
+        return Membership.BOUNDARY
+    return Membership.INTERIOR
+
+
+def tetrahedron_contains(r_triple, eps_face: float = 0.0) -> Membership:
+    r = np.asarray(r_triple, dtype=float)
+    if r.shape != (3,):
+        raise ValueError("expected three reduced angles")
+    if np.any(r < 0.0) or np.any(r > _PI):
+        raise ValueError(f"reduced angles must lie in [0, pi], got {r}")
+    return _membership_from_slacks(tetrahedron_slacks(*r), eps_face)
+
+
+def barycentric_coordinates(r_triples: np.ndarray) -> np.ndarray:
+    pts = np.atleast_2d(np.asarray(r_triples, dtype=float))
+    system = np.vstack([_TETRAHEDRON_VERTICES.T, np.ones(4)])
+    rhs = np.hstack([pts, np.ones((pts.shape[0], 1))])
+    bary = np.linalg.solve(system, rhs.T).T
+    return bary[0] if np.asarray(r_triples).ndim == 1 else bary
+
+
+def barycentric_membership(r_triple, eps_face: float = 0.0) -> Membership:
+    r = np.asarray(r_triple, dtype=float)
+    if np.any(r < 0.0) or np.any(r > _PI):
+        raise ValueError(f"reduced angles must lie in [0, pi], got {r}")
+    bary = barycentric_coordinates(r) * (2.0 * _PI)
+    return _membership_from_slacks(bary, eps_face)
+
+
+def bobenko_admissible(deltas, eps: float = 0.0) -> Membership:
+    d = np.asarray(deltas, dtype=float)
+    if d.shape != (3,):
+        raise ValueError("expected three fractional parts")
+    if np.any(d < 0.0) or np.any(d > 0.5):
+        raise ValueError(f"fractional parts must lie in [0, 1/2], got {d}")
+    slacks = np.array(
+        [
+            d[0] + d[1] + d[2] - 0.5,
+            0.5 - (d[0] + d[1] - d[2]),
+            0.5 - (d[0] - d[1] + d[2]),
+            0.5 - (-d[0] + d[1] + d[2]),
+        ]
+    )
+    return _membership_from_slacks(slacks, eps)
+
+
+def classify_triple(phi1: float, phi2: float, phi3: float, eps_face: float = 0.0):
+    """(tag, reduced, slacks) as the original classify_triple computed them."""
+    phis = (phi1, phi2, phi3)
+    for phi in phis:
+        if not (phi > 0.0) or phi == _PI:
+            raise ValueError(f"angles must lie in (0, inf) \\ {{pi}}, got {phi}")
+    reduced = tuple(reduced_angle(phi) for phi in phis)
+    slacks = tuple(tetrahedron_slacks(*reduced))
+    if any(r <= eps_face or r >= _PI - eps_face for r in reduced):
+        return TripleTag.DEGENERATE_MULTIPLE_OF_PI, reduced, slacks
+    membership = tetrahedron_contains(reduced, eps_face=eps_face)
+    tag = {
+        Membership.INTERIOR: TripleTag.GENERIC_ADMISSIBLE,
+        Membership.BOUNDARY: TripleTag.PARALLEL_BOUNDARY,
+        Membership.OUTSIDE: TripleTag.INADMISSIBLE,
+    }[membership]
+    return tag, reduced, slacks
+
+
+def _membership_batch(slacks: np.ndarray, eps: float) -> np.ndarray:
+    out = np.full(slacks.shape[0], Membership.INTERIOR.value, dtype=np.int8)
+    boundary = np.any(slacks <= eps, axis=1)
+    outside = np.any(slacks < -eps, axis=1)
+    out[boundary] = Membership.BOUNDARY.value
+    out[outside] = Membership.OUTSIDE.value
+    return out
+
+
+def tetrahedron_membership_batch(r_triples: np.ndarray, eps_face: float = 0.0) -> np.ndarray:
+    r = np.asarray(r_triples, dtype=float)
+    slacks = np.stack(
+        [
+            r[:, 0] + r[:, 1] + r[:, 2] - _PI,
+            _PI - (r[:, 0] + r[:, 1] - r[:, 2]),
+            _PI - (r[:, 0] - r[:, 1] + r[:, 2]),
+            _PI - (-r[:, 0] + r[:, 1] + r[:, 2]),
+        ],
+        axis=1,
+    )
+    return _membership_batch(slacks, eps_face)
+
+
+def barycentric_membership_batch(r_triples: np.ndarray, eps_face: float = 0.0) -> np.ndarray:
+    bary = barycentric_coordinates(np.asarray(r_triples, dtype=float)) * (2.0 * _PI)
+    return _membership_batch(bary, eps_face)
+
+
+def bobenko_membership_batch(delta_triples: np.ndarray, eps: float = 0.0) -> np.ndarray:
+    d = np.asarray(delta_triples, dtype=float)
+    slacks = np.stack(
+        [
+            d[:, 0] + d[:, 1] + d[:, 2] - 0.5,
+            0.5 - (d[:, 0] + d[:, 1] - d[:, 2]),
+            0.5 - (d[:, 0] - d[:, 1] + d[:, 2]),
+            0.5 - (-d[:, 0] + d[:, 1] + d[:, 2]),
+        ],
+        axis=1,
+    )
+    return _membership_batch(slacks, eps)
+
+
+def classify_doc(phis, eps_face: float) -> dict:
+    """The document the original ``trinoids classify`` built, before emission."""
+    tag, reduced, slacks = classify_triple(*phis, eps_face=eps_face)
+    deltas = [r / (2.0 * math.pi) for r in reduced]
+    d = deltas
+    bob_slacks = [
+        d[0] + d[1] + d[2] - 0.5,
+        0.5 - (d[0] + d[1] - d[2]),
+        0.5 - (d[0] - d[1] + d[2]),
+        0.5 - (-d[0] + d[1] + d[2]),
+    ]
+    return {
+        "phi": list(phis),
+        "reduced": list(reduced),
+        "tag": tag.value,
+        "slacks": list(slacks),
+        "bobenko_deltas": deltas,
+        "bobenko_slacks": bob_slacks,
+    }

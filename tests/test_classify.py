@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from trinoids.classify import (
     Membership,
     TripleTag,
@@ -39,6 +40,11 @@ class TestTetrahedron:
             tetrahedron_contains((-0.1, 1.0, 1.0))
         with pytest.raises(ValueError):
             tetrahedron_contains((PI + 0.1, 1.0, 1.0))
+        for bad in [(math.nan, 1.0, 1.0), (1.0, math.inf, 1.0)]:
+            with pytest.raises(ValueError):
+                tetrahedron_contains(bad)
+            with pytest.raises(ValueError):
+                barycentric_membership(bad)
 
     def test_barycentric_oracle_grid(self):
         grid = np.linspace(0.0, PI, 21)
@@ -67,6 +73,8 @@ class TestBobenko:
             bobenko_admissible((0.6, 0.1, 0.1))
         with pytest.raises(ValueError):
             bobenko_admissible((-0.01, 0.1, 0.1))
+        with pytest.raises(ValueError):
+            bobenko_admissible((math.nan, 0.1, 0.1))
 
     def test_equivalence_with_tetrahedron(self):
         rng = np.random.default_rng(1)
@@ -105,6 +113,11 @@ class TestClassifyTriple:
             classify_triple(PI, 1.0, 1.0)
         with pytest.raises(ValueError):
             classify_triple(-1.0, 1.0, 1.0)
+        for bad in [math.inf, math.nan]:
+            with pytest.raises(ValueError):
+                classify_triple(bad, 1.0, 1.2)
+            with pytest.raises(ValueError):
+                classify_triple(1.0, 1.2, bad)
 
     def test_outputs_carry_slacks(self):
         out = classify_triple(PI / 2, PI / 2, PI / 2)
@@ -148,3 +161,80 @@ class TestClassifyTriple:
                 Membership.OUTSIDE: TripleTag.INADMISSIBLE,
             }[member]
             assert tag is expected
+
+
+EPS = [0.0, 1e-12, 1e-3]
+
+
+def bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
+@pytest.fixture(scope="module")
+def phis():
+    """Random triples over (0, 4 pi)^3, then multiples of pi and a face point."""
+    near_multiples = [k * PI + d for k in (2, 3, 4) for d in (-1e-12, 0.0, 1e-12)]
+    edges = [(p, 1.0, 1.2) for p in near_multiples] + [(PI / 2, PI / 4, 9 * PI / 4)]
+    return np.vstack([np.random.default_rng(20).uniform(0.0, 4 * PI, (20_000, 3)), edges])
+
+
+@pytest.fixture(scope="module")
+def grid():
+    axis = np.linspace(0.0, PI, 41)
+    return np.array(np.meshgrid(axis, axis, axis)).reshape(3, -1).T
+
+
+class TestSameAsOriginal:
+    """Every entry point returns exactly what the original classifier returned.
+
+    The reference in oracles.py writes each slack formula and membership rule
+    out separately, as the classifier did before they were shared.  Slacks
+    and reduced angles are compared bit for bit.
+    """
+
+    @pytest.mark.parametrize("eps", EPS)
+    def test_classify_triple(self, phis, eps):
+        for p in phis.tolist():
+            out = classify_triple(*p, eps_face=eps)
+            tag, reduced, slacks = oracles.classify_triple(*p, eps_face=eps)
+            assert out.tag is tag
+            assert np.array_equal(bits(out.reduced), bits(reduced))
+            assert np.array_equal(bits(out.slacks), bits(slacks))
+
+    def test_tetrahedron_slacks(self, grid):
+        new = [tetrahedron_slacks(*r) for r in grid.tolist()]
+        old = [oracles.tetrahedron_slacks(*r) for r in grid.tolist()]
+        assert np.array_equal(bits(new), bits(old))
+
+    @pytest.mark.parametrize("eps", EPS)
+    def test_scalar_memberships(self, grid, eps):
+        for r in grid.tolist():
+            assert tetrahedron_contains(r, eps) is oracles.tetrahedron_contains(r, eps)
+            d = [x / (2 * PI) for x in r]
+            e = eps / (2 * PI)
+            assert bobenko_admissible(d, e) is oracles.bobenko_admissible(d, e)
+        for r in grid[::7].tolist():
+            assert barycentric_membership(r, eps) is oracles.barycentric_membership(r, eps)
+
+    @pytest.mark.parametrize("eps", EPS)
+    def test_batch_memberships(self, phis, grid, eps):
+        reduced = np.vectorize(reduced_angle)(phis)
+        special = [
+            (math.inf, math.inf, 1.0),
+            (math.nan, 1.0, 1.0),
+            (-math.inf, 1.0, 1.0),
+            (math.nan, math.nan, math.nan),
+            (-1.0, 1.0, 1.0),
+            (4.0, 4.0, 4.0),
+        ]
+        pts = np.vstack([grid, reduced, special])
+        for new, old, scale in [
+            (tetrahedron_membership_batch, oracles.tetrahedron_membership_batch, 1.0),
+            (barycentric_membership_batch, oracles.barycentric_membership_batch, 1.0),
+            (bobenko_membership_batch, oracles.bobenko_membership_batch, 2 * PI),
+        ]:
+            with np.errstate(invalid="ignore"):
+                got = new(pts / scale, eps / scale)
+                want = old(pts / scale, eps / scale)
+            assert got.dtype == np.int8
+            assert np.array_equal(got, want)

@@ -4,9 +4,10 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from trinoids import cli
 from trinoids import weierstrass as W
-from trinoids.emit import validate_against_schema
+from trinoids.emit import dump_json, validate_against_schema
 
 PI = math.pi
 
@@ -49,6 +50,23 @@ class TestClassify:
     def test_domain_error(self, capsys):
         code, _, err = run(capsys, "classify", "-1", "1", "1")
         assert code == 2
+
+    @pytest.mark.parametrize("phi,eps", [
+        (("1.0", "1.2", "1.4"), "1e-12"),
+        (("0.314159", "0.314159", "0.314159"), "1e-12"),
+        (("3.14159265358979", "1", "1"), "1e-12"),
+        ((repr(PI / 2), repr(PI / 4), repr(PI / 4)), "1e-12"),
+        ((repr(PI / 2), repr(PI / 4), repr(PI / 4)), "0"),
+        (("7.5", "2.2", "10.1"), "1e-3"),
+        (("20.25", "0.01", "6.2"), "0"),
+    ])
+    def test_same_document_as_original(self, capsys, tmp_path, phi, eps):
+        path = tmp_path / "c.json"
+        code, out, _ = run(capsys, "classify", *phi, "--eps-face", eps, "--json", str(path))
+        doc = oracles.classify_doc([float(p) for p in phi], float(eps))
+        assert out == dump_json(doc)
+        assert path.read_text() == out
+        assert code == (0 if doc["tag"] == "GenericAdmissible" else 1)
 
 
 class TestConvert:
@@ -122,6 +140,17 @@ class TestSurface:
     def test_no_output_requested(self, capsys):
         code, _, err = run(capsys, "surface", "catenoid", "1")
         assert code == 2
+
+    def test_unwritable_path(self, capsys, tmp_path):
+        target = tmp_path / "a_directory"
+        target.mkdir()
+        code, out, err = run(capsys, "surface", "helicoid", "1", "--nx", "3", "--ny", "3",
+                             "--obj", str(target), "--force")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert target.is_dir()
+        assert list(tmp_path.glob("*.tmp")) == []
 
     @pytest.mark.parametrize("nx,ny", [(0, 21), (1, 21), (21, 1), (-3, 2)])
     def test_grid_too_small(self, capsys, tmp_path, nx, ny):
@@ -213,6 +242,21 @@ class TestVerifyEnd:
         assert "helicoid-fit" in doc["failed"]
         assert doc["helicoid_fit"]["pass"] is False
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--fit-lambda", "0"),
+        ("--fit-lambda", "nan"),
+        ("--fit-lambda", "-1"),
+        ("--fit-lambda", "-0.25"),
+        ("--min-radius-exp", "1"),
+        ("--min-radius-exp", "0"),
+    ])
+    def test_bad_domain(self, capsys, tmp_path, flag, value):
+        path = self.make_data_file(tmp_path)
+        code, out, err = run(capsys, "verify-end", str(path), flag, value)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_parse_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -233,9 +277,11 @@ class TestConfigAndDeterminism:
 
     def test_bad_config(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"nonsense": 1}))
-        code, _, err = run(capsys, "--config", str(cfg), "classify", "1", "1", "1")
-        assert code == 2
+        for key in ["nonsense", "seed", "out_dir"]:
+            cfg.write_text(json.dumps({key: 1}))
+            code, _, err = run(capsys, "--config", str(cfg), "classify", "1", "1", "1")
+            assert code == 2
+            assert "unknown config keys" in err
 
     def test_config_env_var(self, capsys, tmp_path, monkeypatch):
         cfg = tmp_path / "cfg.json"
