@@ -38,7 +38,8 @@ from .weierstrass import (
     conjugate_data,
     correction_bound,
     gauss_normal,
-    integrate,
+    integrate,  # noqa: F401  re-exported; the benchmark tracer tests look it up here
+    integrate_many,
     is_symmetric,
     principal_log_coefficient,
 )
@@ -89,16 +90,17 @@ def sample_conjugate_end(
 
     conj = conjugate_data(data)
     thetas = np.linspace(0.0, math.pi, samples_per_arc)
-
-    def immerse(z: complex) -> np.ndarray:
-        return integrate(conj, IntegrationPath(1.0, z, Route.RADIAL_THEN_ARC), tol)
-
-    arcs = []
-    for rho in radii:
-        arcs.append(np.array([immerse(rho * np.exp(1j * th)) for th in thetas]))
     s_vals = np.geomspace(1.0, radii[-1], boundary_samples)
-    pos = np.array([immerse(s) for s in s_vals])
-    neg = np.array([immerse(complex(-s, 0.0)) for s in s_vals])
+    targets = [rho * np.exp(1j * th) for rho in radii for th in thetas]
+    targets += list(s_vals) + [complex(-s, 0.0) for s in s_vals]
+    # one call, so the radial leg 1 -> rho shared by an arc is integrated once
+    points = integrate_many(
+        conj, [IntegrationPath(1.0, z, Route.RADIAL_THEN_ARC) for z in targets], tol
+    )
+    m, n = samples_per_arc, len(radii) * samples_per_arc
+    arcs = [np.array(points[k : k + m]) for k in range(0, n, m)]
+    pos = np.array(points[n : n + boundary_samples])
+    neg = np.array(points[n + boundary_samples :])
     return EndSample(
         data=conj,
         alpha=data.alpha,

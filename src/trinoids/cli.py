@@ -41,6 +41,13 @@ def _parse_angles(values, degrees: bool):
     return out
 
 
+def _check_positive(name: str, value: float, allow_zero: bool = False) -> None:
+    """Reject ``value`` unless it lies in (0, inf), or in [0, inf) with ``allow_zero``."""
+    if not ((value >= 0.0 if allow_zero else value > 0.0) and value < math.inf):
+        interval = "[0, inf)" if allow_zero else "(0, inf)"
+        raise ValueError(f"{name} must lie in {interval}, got {value}")
+
+
 def _emit(doc: dict, schema: str, json_path: Optional[str], force: bool) -> None:
     doc = emit.to_plain(doc)
     emit.validate_against_schema(doc, schema)
@@ -51,6 +58,7 @@ def _emit(doc: dict, schema: str, json_path: Optional[str], force: bool) -> None
 
 def cmd_classify(args, cfg: Config) -> int:
     phis = _parse_angles(args.phi, args.degrees)
+    _check_positive("--eps-face", args.eps_face, allow_zero=True)
     outcome = classify.classify_triple(*phis, eps_face=args.eps_face)
     deltas = [r / (2.0 * math.pi) for r in outcome.reduced]
     doc = {
@@ -119,6 +127,8 @@ def cmd_surface(args, cfg: Config) -> int:
 def cmd_constellation(args, cfg: Config) -> int:
     phis = _parse_angles(args.phi, args.degrees)
     convention = params.PitchConvention(args.convention)
+    _check_positive("--eps-face", args.eps_face, allow_zero=True)
+    _check_positive("--box", args.box)
     outcome = classify.classify_triple(*phis, eps_face=args.eps_face)
     solutions = constellation.solve_constellations(
         *phis, convention=convention, eps_face=args.eps_face
@@ -149,6 +159,7 @@ def cmd_constellation(args, cfg: Config) -> int:
 def cmd_verify_end(args, cfg: Config) -> int:
     if args.fit_lam is not None:
         params._check_lambda(args.fit_lam)
+    _check_positive("--tol", args.tol)
     if args.min_radius_exp < 2:
         raise ValueError(f"--min-radius-exp must be at least 2, got {args.min_radius_exp}")
     with open(args.data) as fh:

@@ -34,7 +34,7 @@ class PitchConvention(Enum):
 
 
 def _check_lambda(lam: float) -> None:
-    if not (lam > -0.25) or lam == 0.0:
+    if not (-0.25 < lam < math.inf) or lam == 0.0:
         raise ValueError(f"lambda must lie in (-1/4, inf) \\ {{0}}, got {lam}")
 
 

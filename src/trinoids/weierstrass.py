@@ -28,7 +28,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-from typing import List, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 from scipy.integrate import IntegrationWarning, quad
@@ -313,39 +313,58 @@ def _integrand_callables(data: WeierstrassData):
         log_coef, rest = _split_log(monomials)
 
         def f(z: complex, rest=rest) -> complex:
-            return sum(coef * branch_power(z, power) for coef, power in rest)
+            if z == 0:
+                return sum(coef * branch_power(z, power) for coef, power in rest)
+            # the branch log of branch_power, taken once for every monomial
+            log_z = math.log(abs(z)) + 1j * branch_arg(z)
+            return sum(coef * cmath.exp(power * log_z) for coef, power in rest)
 
         out.append((f, log_coef))
     return out
 
 
-def integrate(data: WeierstrassData, path: IntegrationPath, tol: float = 1e-10) -> np.ndarray:
-    """Immersion displacement Re of the three path integrals along ``path``.
+def integrate_many(
+    data: WeierstrassData, paths: Sequence[IntegrationPath], tol: float = 1e-10
+) -> List[np.ndarray]:
+    """Immersion displacements Re of the three path integrals, one per path.
 
     Each component carries absolute quadrature error at most ~tol; z^{-1}
     monomials of PowerEndData are integrated exactly as branch logarithms.
+    Paths are integrated in order, and each path gives the same bits as on
+    its own: a segment integral that several paths share (same component,
+    segment and per-segment tolerance) is computed once per call and reused.
     Raises QuadratureError (with the achieved estimate) on non-convergence
     and ValueError for paths leaving the domain or crossing the puncture.
     """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
-    _validate_path(data, path)
-    segs = _segments(path)
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must lie in (0, inf), got {tol}")
     comps = _integrand_callables(data)
-    dlog = (
-        branch_log(complex(path.target)) - branch_log(complex(path.z0))
-        if any(lc != 0 for _, lc in comps)
-        else 0j
-    )
-    out = np.zeros(3)
-    eps_seg = tol / max(len(segs), 1)
-    for i, (f, log_coef) in enumerate(comps):
-        total = log_coef * dlog
-        for seg in segs:
-            value, _ = _quad_segment(f, seg, eps_seg)
-            total += value
-        out[i] = total.real
-    return out
+    has_log = any(lc != 0 for _, lc in comps)
+    memo: Dict[Tuple[int, str, float], complex] = {}
+    results = []
+    for path in paths:
+        _validate_path(data, path)
+        segs = _segments(path)
+        dlog = branch_log(complex(path.target)) - branch_log(complex(path.z0)) if has_log else 0j
+        out = np.zeros(3)
+        eps_seg = tol / max(len(segs), 1)
+        # repr is exact for floats and keeps the sign of zero apart
+        seg_keys = [repr(seg) for seg in segs]
+        for i, (f, log_coef) in enumerate(comps):
+            total = log_coef * dlog
+            for seg, seg_key in zip(segs, seg_keys):
+                key = (i, seg_key, eps_seg)
+                if key not in memo:
+                    memo[key] = _quad_segment(f, seg, eps_seg)[0]
+                total += memo[key]
+            out[i] = total.real
+        results.append(out)
+    return results
+
+
+def integrate(data: WeierstrassData, path: IntegrationPath, tol: float = 1e-10) -> np.ndarray:
+    """Immersion displacement along one path; see integrate_many."""
+    return integrate_many(data, [path], tol)[0]
 
 
 def principal_log_coefficient(data: PowerEndData) -> complex:
@@ -382,33 +401,24 @@ def correction_bound(data: PowerEndData) -> float:
 
 
 def correction_integral(data: PowerEndData, z: complex, tol: float = 1e-10) -> complex:
-    """C(z) = Int_1^z R(xi) d xi by adaptive quadrature.
+    """C(z) = Int_1^z R(xi) d xi = sum_k rho_k (z^{k+1} - 1)/(k+1), exactly.
 
-    The integrand is the polynomial of correction_coefficients; C is bounded
-    on the closed upper half-disk and real on (0, 1] for real-coefficient
-    data.  z must lie in the closed upper half-disk.
+    R is the polynomial of correction_coefficients, so C is its
+    antiderivative vanishing at 1, evaluated by Horner; C is bounded on the
+    closed upper half-disk and real on (0, 1] for real-coefficient data.
+    z must lie in the closed upper half-disk.  ``tol`` is unused: it is
+    kept so that callers of the former quadrature version still work.
     """
     if not isinstance(data, PowerEndData):
         raise TypeError("correction_integral is defined for PowerEndData")
     z = complex(z)
     if not _in_upper_half_disk(z):
         raise ValueError(f"z={z} outside the closed upper half-disk")
-    rho = correction_coefficients(data)
-
-    def f(w: complex) -> complex:
-        total = 0j
-        for coef in rho[::-1]:
-            total = total * w + coef
-        return total
-
-    total = 0j
-    achieved = 0.0
-    segs = _segments(IntegrationPath(1.0, z, Route.RADIAL_THEN_ARC))
-    for seg in segs:
-        value, err = _quad_segment(f, seg, tol / max(len(segs), 1))
-        total += value
-        achieved += err
-    return total
+    coefs = [complex(c) / (k + 1) for k, c in enumerate(correction_coefficients(data))]
+    value = 0j
+    for c in reversed(coefs):
+        value = value * z + c
+    return value * z - sum(coefs)
 
 
 def g_value(data: WeierstrassData, z: complex) -> complex:

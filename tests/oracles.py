@@ -4,10 +4,13 @@ These deliberately avoid the code paths they check: displacement oracles
 evaluate closed-form antiderivatives at the endpoints instead of walking a
 quadrature path, the direction oracle is a dense grid search on the
 sphere instead of a triangle solve, the emitter oracles format one float
-at a time instead of a whole array at once, and the classification oracles
-write out each slack formula and membership rule separately.
+at a time instead of a whole array at once, the classification oracles
+write out each slack formula and membership rule separately, and the
+end-sampling oracles integrate every path on its own, one monomial power
+at a time, and the correction integral by quadrature.
 """
 
+import cmath
 import math
 
 import numpy as np
@@ -16,9 +19,17 @@ from trinoids.classify import Membership, TripleTag
 from trinoids.weierstrass import (
     ExponentialData,
     PowerEndData,
+    IntegrationPath,
+    Route,
     branch_log,
     branch_power,
+    conjugate_data,
+    correction_coefficients,
     _monomial_components,
+    _quad_segment,
+    _segments,
+    _split_log,
+    _validate_path,
 )
 
 
@@ -56,8 +67,6 @@ def displacement(data, z, z0=None) -> np.ndarray:
 
 def correction_closed_form(data: PowerEndData, z: complex) -> complex:
     """C(z) through the polynomial antiderivative, base point 1."""
-    from trinoids.weierstrass import correction_coefficients
-
     rho = correction_coefficients(data)
 
     def anti(w: complex) -> complex:
@@ -352,3 +361,110 @@ def classify_doc(phis, eps_face: float) -> dict:
         "bobenko_deltas": deltas,
         "bobenko_slacks": bob_slacks,
     }
+
+
+# ---------------------------------------------------------------------------
+# Original end-sampling engine: every path integrated on its own, and the
+# PowerEnd integrand taking one branch power per monomial.
+# trinoids.weierstrass.integrate_many integrates segments that paths share
+# once per call and must return exactly the same bits.
+
+
+def integrand_callables(data):
+    """Per-component (callable, log_coef) pairs for quadrature."""
+    if isinstance(data, ExponentialData):
+        c = data.omega_factor * data.lam
+
+        def f1(z: complex) -> complex:
+            return c * (cmath.exp(-z) - cmath.exp(z))
+
+        def f2(z: complex) -> complex:
+            return 1j * c * (cmath.exp(-z) + cmath.exp(z))
+
+        def f3(z: complex) -> complex:
+            return 2.0 * c
+
+        return [(f1, 0j), (f2, 0j), (f3, 0j)]
+
+    out = []
+    for monomials in _monomial_components(data):
+        log_coef, rest = _split_log(monomials)
+
+        def f(z: complex, rest=rest) -> complex:
+            return sum(coef * branch_power(z, power) for coef, power in rest)
+
+        out.append((f, log_coef))
+    return out
+
+
+def integrate(data, path, tol: float = 1e-10) -> np.ndarray:
+    if not tol > 0:
+        raise ValueError("tol must be positive")
+    _validate_path(data, path)
+    segs = _segments(path)
+    comps = integrand_callables(data)
+    dlog = (
+        branch_log(complex(path.target)) - branch_log(complex(path.z0))
+        if any(lc != 0 for _, lc in comps)
+        else 0j
+    )
+    out = np.zeros(3)
+    eps_seg = tol / max(len(segs), 1)
+    for i, (f, log_coef) in enumerate(comps):
+        total = log_coef * dlog
+        for seg in segs:
+            value, _ = _quad_segment(f, seg, eps_seg)
+            total += value
+        out[i] = total.real
+    return out
+
+
+def sample_conjugate_end(data, radii, samples_per_arc=33, boundary_samples=16,
+                         tol=1e-10):
+    """The original sampler, for symmetric data and valid radii."""
+    from trinoids.asymptotics import EndSample
+
+    radii = tuple(float(r) for r in radii)
+    conj = conjugate_data(data)
+    thetas = np.linspace(0.0, math.pi, samples_per_arc)
+
+    def immerse(z: complex) -> np.ndarray:
+        return integrate(conj, IntegrationPath(1.0, z, Route.RADIAL_THEN_ARC), tol)
+
+    arcs = []
+    for rho in radii:
+        arcs.append(np.array([immerse(rho * np.exp(1j * th)) for th in thetas]))
+    s_vals = np.geomspace(1.0, radii[-1], boundary_samples)
+    pos = np.array([immerse(s) for s in s_vals])
+    neg = np.array([immerse(complex(-s, 0.0)) for s in s_vals])
+    return EndSample(
+        data=conj,
+        alpha=data.alpha,
+        lam=data.lam,
+        radii=radii,
+        arc_angles=thetas,
+        arc_points=tuple(arcs),
+        boundary_pos_s=s_vals,
+        boundary_pos=pos,
+        boundary_neg_s=s_vals,
+        boundary_neg=neg,
+        tol=tol,
+    )
+
+
+def correction_integral_quadrature(data: PowerEndData, z: complex, tol: float = 1e-10) -> complex:
+    """C(z) = Int_1^z R(xi) d xi by adaptive quadrature along radial-then-arc."""
+    rho = correction_coefficients(data)
+
+    def f(w: complex) -> complex:
+        total = 0j
+        for coef in rho[::-1]:
+            total = total * w + coef
+        return total
+
+    total = 0j
+    segs = _segments(IntegrationPath(1.0, complex(z), Route.RADIAL_THEN_ARC))
+    for seg in segs:
+        value, _ = _quad_segment(f, seg, tol / max(len(segs), 1))
+        total += value
+    return total

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -69,6 +70,19 @@ class TestClassify:
         assert code == (0 if doc["tag"] == "GenericAdmissible" else 1)
 
 
+    @pytest.mark.parametrize("command", ["classify", "constellation"])
+    @pytest.mark.parametrize("eps", ["nan", "-1", "-0.5", "inf"])
+    def test_bad_eps_face(self, capsys, tmp_path, command, eps):
+        out_json = tmp_path / "out.json"
+        code, out, err = run(capsys, command, "1", "1", "1", "--eps-face", eps,
+                             "--json", str(out_json))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --eps-face must lie in [0, inf)")
+        assert err.count("\n") == 1
+        assert not out_json.exists()
+
+
 class TestConvert:
     def test_from_lambda(self, capsys):
         code, out, _ = run(capsys, "convert", "--from", "lambda", "0.75")
@@ -90,6 +104,12 @@ class TestConvert:
     def test_domain_error(self, capsys):
         code, _, err = run(capsys, "convert", "--from", "lambda", "0")
         assert code == 2
+
+    def test_infinite_lambda(self, capsys):
+        code, out, err = run(capsys, "convert", "--from", "lambda", "inf")
+        assert code == 2
+        assert out == ""
+        assert err == "error: lambda must lie in (-1/4, inf) \\ {0}, got inf\n"
 
 
 class TestSurface:
@@ -136,6 +156,18 @@ class TestSurface:
         code, _, _ = run(capsys, "surface", "catenoid", "0",
                          "--obj", str(tmp_path / "x.obj"))
         assert code == 2
+
+    def test_infinite_lambda(self, capsys, tmp_path):
+        obj = tmp_path / "x.obj"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, "surface", "helicoid", "inf", "--obj", str(obj))
+        assert code == 2
+        assert out == ""
+        assert err == "error: lambda must lie in (-1/4, inf) \\ {0}, got inf\n"
+        assert "RuntimeWarning" not in err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert not obj.exists()
 
     def test_no_output_requested(self, capsys):
         code, _, err = run(capsys, "surface", "catenoid", "1")
@@ -189,6 +221,16 @@ class TestConstellation:
         text = obj.read_text()
         assert sum(1 for l in text.splitlines() if l.startswith("l ")) == 6
         assert sum(1 for l in text.splitlines() if l.startswith("f ")) == 6 * 8 * 24
+
+    @pytest.mark.parametrize("box", ["-1", "0", "nan", "inf"])
+    def test_bad_box(self, capsys, tmp_path, box):
+        obj, out_json = tmp_path / "f.obj", tmp_path / "f.json"
+        code, out, err = run(capsys, "constellation", "1.6", "1.6", "1.6", "--box", box,
+                             "--emit-obj", str(obj), "--json", str(out_json))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --box must lie in (0, inf)") and err.count("\n") == 1
+        assert not obj.exists() and not out_json.exists()
 
     def test_internal_error_exit(self, capsys, monkeypatch):
         from trinoids.constellation import ConstellationSolveError
@@ -249,6 +291,11 @@ class TestVerifyEnd:
         ("--fit-lambda", "-0.25"),
         ("--min-radius-exp", "1"),
         ("--min-radius-exp", "0"),
+        ("--fit-lambda", "inf"),
+        ("--tol", "inf"),
+        ("--tol", "nan"),
+        ("--tol", "0"),
+        ("--tol", "-1"),
     ])
     def test_bad_domain(self, capsys, tmp_path, flag, value):
         path = self.make_data_file(tmp_path)
@@ -256,6 +303,10 @@ class TestVerifyEnd:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+        if flag == "--fit-lambda":
+            assert err.startswith("error: lambda must lie in (-1/4, inf)")
+        if flag == "--tol":
+            assert err.startswith("error: --tol must lie in (0, inf)")
 
     def test_parse_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"

@@ -45,7 +45,7 @@ class TestPhiLambda:
         assert lambda_of_phi(2 * PI) == pytest.approx(-3.0 / 16.0, rel=1e-15)
 
     def test_domain_errors(self):
-        for bad in (0.0, -0.25, -1.0):
+        for bad in (0.0, -0.25, -1.0, math.inf, math.nan):
             with pytest.raises(ValueError):
                 phi_of_lambda(bad)
         for bad in (0.0, -1.0, PI):

@@ -215,6 +215,8 @@ class TestCorrectionIntegral:
             got = correction_integral(pe, z, 1e-12)
             want = oracles.correction_closed_form(pe, z)
             assert got == pytest.approx(want, abs=1e-10)
+            want = oracles.correction_integral_quadrature(pe, z, 1e-12)
+            assert got == pytest.approx(want, abs=1e-10)
 
     def test_bounded_on_domain(self):
         rng = np.random.default_rng(5)
