@@ -28,7 +28,14 @@ import numpy as np
 from scipy.optimize import least_squares
 
 from .constellation import HelicoidFrame
-from .lines import OrientedLine, angle_between, common_perpendicular_feet, ruling_residual, unit
+from .lines import (
+    OrientedLine,
+    angle_between,
+    common_perpendicular_feet,
+    cross,
+    ruling_residual,
+    unit,
+)
 from .params import PitchConvention, ray_distance_h, reduced_angle
 from .weierstrass import (
     IntegrationPath,
@@ -253,8 +260,8 @@ def fit_helicoid(rays: RayFit, lam: float, residual_tol: float = 1e-3) -> Helico
     u1 = rays.ray_pos.direction
     u2 = rays.ray_neg.direction
     pitch = 2.0 * lam
-    cross = np.cross(u1, u2)
-    if np.linalg.norm(cross) < 1e-8:
+    normal = cross(u1, u2)
+    if np.linalg.norm(normal) < 1e-8:
         min_gap = abs(pitch) * math.pi
         gap = rays.vertical_gap
         ok = gap >= min_gap * (1.0 - 1e-6) - 1e-9
@@ -269,7 +276,7 @@ def fit_helicoid(rays: RayFit, lam: float, residual_tol: float = 1e-3) -> Helico
         )
 
     q1, q2 = common_perpendicular_feet(rays.ray_pos, rays.ray_neg)
-    n_hat = unit(cross)
+    n_hat = unit(normal)
     d = float((q2 - q1) @ n_hat)
     angle = angle_between(u1, u2)
     # consistency: the twist implied by the gap must match the measured angle
@@ -283,7 +290,7 @@ def fit_helicoid(rays: RayFit, lam: float, residual_tol: float = 1e-3) -> Helico
     frame, residual = None, math.inf
     for e_axis in (n_hat, -n_hat):
         col1 = sigma * u1
-        R = np.column_stack([np.cross(col1, e_axis), col1, e_axis])
+        R = np.column_stack([cross(col1, e_axis), col1, e_axis])
         cand = HelicoidFrame(lam, R, q1)
         res = max(
             ruling_residual(R, q1, pitch, rays.ray_pos),

@@ -9,7 +9,8 @@ Subcommands:
 * verify-end    -- run the conjugate-end pipeline on a data file
 
 Exit codes are a stable contract: 0 success, 1 negative result,
-2 input/domain error, 3 internal consistency error.
+2 input/domain error (a bad config file included), 3 internal consistency
+error or any other unexpected failure.  Every error is one line on stderr.
 """
 
 from __future__ import annotations
@@ -46,6 +47,11 @@ def _check_positive(name: str, value: float, allow_zero: bool = False) -> None:
     if not ((value >= 0.0 if allow_zero else value > 0.0) and value < math.inf):
         interval = "[0, inf)" if allow_zero else "(0, inf)"
         raise ValueError(f"{name} must lie in {interval}, got {value}")
+
+
+def _one_line(exc: BaseException) -> str:
+    """The exception message with its line breaks folded into spaces."""
+    return " ".join(str(exc).splitlines())
 
 
 def _emit(doc: dict, schema: str, json_path: Optional[str], force: bool) -> None:
@@ -107,6 +113,10 @@ def cmd_surface(args, cfg: Config) -> int:
         raise ValueError("nothing to do: pass --obj and/or --csv")
     if args.nx < 2 or args.ny < 2:
         raise ValueError(f"--nx and --ny must be at least 2, got {args.nx} and {args.ny}")
+    for flag in ("xmin", "xmax", "ymin", "ymax"):
+        value = getattr(args, flag)
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"--{flag} must be finite, got {value}")
     a = math.sqrt(1.0 + 4.0 * lam) if lam > -0.25 else 1.0
     if args.kind == "cousin":
         ymin = 0.0 if args.ymin is None else args.ymin
@@ -163,11 +173,15 @@ def cmd_verify_end(args, cfg: Config) -> int:
     if args.min_radius_exp < 2:
         raise ValueError(f"--min-radius-exp must be at least 2, got {args.min_radius_exp}")
     with open(args.data) as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except RecursionError:
+            raise ValueError("data file is nested too deeply") from None
     try:
         emit.validate_against_schema(doc, "weierstrass_data.schema.json")
     except Exception as exc:
-        raise ValueError(f"data file does not match the data schema: {exc}") from exc
+        message = getattr(exc, "message", exc)
+        raise ValueError(f"data file does not match the data schema: {message}") from exc
     data = weierstrass.data_from_json(doc)
     if not isinstance(data, weierstrass.PowerEndData):
         raise ValueError("verify-end needs power_end data")
@@ -190,9 +204,11 @@ def cmd_verify_end(args, cfg: Config) -> int:
 
 
 def build_parser(cfg: Config) -> argparse.ArgumentParser:
+    # no abbreviations: main() finds --config by its full name only
     parser = argparse.ArgumentParser(
         prog="trinoids",
         description="Classification and verification tools for catenoid-cousin end data.",
+        allow_abbrev=False,
     )
     parser.add_argument("--config", help="path to a JSON config file", default=None)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -263,25 +279,31 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     # --config must be read before defaults are baked into the parser
     cfg_path = None
-    if "--config" in argv:
-        idx = argv.index("--config")
-        if idx + 1 < len(argv):
+    for idx, token in enumerate(argv):
+        if token == "--config" and idx + 1 < len(argv):
             cfg_path = argv[idx + 1]
+            break
+        if token.startswith("--config="):
+            cfg_path = token[len("--config="):]
+            break
     try:
         cfg = load_config(cfg_path)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        print(f"error: bad config: {exc}", file=sys.stderr)
+    except (OSError, ValueError, RecursionError) as exc:
+        print(f"error: bad config: {_one_line(exc)}", file=sys.stderr)
         return EXIT_INPUT
     parser = build_parser(cfg)
     args = parser.parse_args(argv)
     try:
         return args.func(args, cfg)
-    except (ValueError, OSError, TypeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError) as exc:
+        print(f"error: {_one_line(exc)}", file=sys.stderr)
         return EXIT_INPUT
-    except (constellation.ConstellationSolveError, weierstrass.QuadratureError,
-            FloatingPointError) as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
+    except (constellation.ConstellationSolveError, weierstrass.QuadratureError) as exc:
+        print(f"internal error: {_one_line(exc)}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except Exception as exc:
+        # a fault of the program, never a negative result (exit 1)
+        print(f"internal error: {type(exc).__name__}: {_one_line(exc)}", file=sys.stderr)
         return EXIT_INTERNAL
 
 

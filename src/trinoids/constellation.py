@@ -34,6 +34,7 @@ from .lines import (
     OrientedLine,
     angle_between,
     common_perpendicular_feet,
+    cross,
     line_distance,
     ruling_residual,
     signed_gap,
@@ -126,18 +127,18 @@ def _screw_sign(phi: float) -> float:
 
 
 def _pair_frame(a: OrientedLine, b: OrientedLine, lam: float, phi: float,
-                convention: PitchConvention) -> HelicoidFrame:
+                qa: np.ndarray) -> HelicoidFrame:
     """Closed-form frame making a and b rulings with screw rotation phi.
 
-    The axis direction is e = -chi * unit(u_a x u_b) with chi = sign(sin phi);
-    line a becomes the ruling at y = 0 and line b the reversed ruling at
-    y = phi.
+    qa is the foot on a of the common perpendicular of a and b, where the
+    frame is placed.  The axis direction is e = -chi * unit(u_a x u_b) with
+    chi = sign(sin phi); line a becomes the ruling at y = 0 and line b the
+    reversed ruling at y = phi.
     """
-    qa, _ = common_perpendicular_feet(a, b)
-    n_hat = unit(np.cross(a.direction, b.direction))
+    n_hat = unit(cross(a.direction, b.direction))
     e = -_screw_sign(phi) * n_hat
     sigma = math.copysign(1.0, lam)
-    col0 = -sigma * np.cross(a.direction, e)
+    col0 = -sigma * cross(a.direction, e)
     col1 = -sigma * a.direction
     R = np.column_stack([col0, col1, e])
     return HelicoidFrame(lam, R, qa)
@@ -196,9 +197,14 @@ def solve_constellations(
         sol = _assemble(phis, lams, u12, u23, u31, convention)
         report = verify_constellation(sol, phis)
         if not report.ok(residual_tol):
-            raise ConstellationSolveError(
-                f"solution failed self-check: max residual {report.max_residual:.3e}"
-            )
+            # a nearly antiparallel pair whose perpendicular foot lies far
+            # out (see _foot_by_cross); rare, except within 1e-9 of a face
+            replaced = _frames_at_cross_feet(sol, phis)
+            if not verify_constellation(replaced, phis).ok(residual_tol):
+                raise ConstellationSolveError(
+                    f"solution failed self-check: max residual {report.max_residual:.3e}"
+                )
+            sol = replaced
         solutions.append(sol)
     return solutions
 
@@ -208,15 +214,15 @@ def _assemble(phis, lams, u12, u23, u31, convention) -> Constellation:
     pitch = tuple(pitch_coefficient(lam, convention) for lam in lams)
     c = tuple(chi[i] * pitch[i] * phis[i] for i in range(3))
 
-    n1 = unit(np.cross(u12, u31))
-    n2 = unit(np.cross(u23, u12))
-    n3 = unit(np.cross(u31, u23))
+    n1 = unit(cross(u12, u31))
+    n2 = unit(cross(u23, u12))
+    n3 = unit(cross(u31, u23))
 
     # Positions: p12 = 0 (gauge), pair-1 offset places l31, pairs 2 and 3 pin
     # l23 through a 2x2 solve in the plane perpendicular to u23.
     p12 = np.zeros(3)
     p31 = c[0] * n1
-    e2 = unit(np.cross(u23, n2))
+    e2 = unit(cross(u23, n2))
     denom = float(e2 @ n3)
     if abs(denom) < 1e-12:
         raise ConstellationSolveError("coplanar direction triple; position solve singular")
@@ -227,10 +233,31 @@ def _assemble(phis, lams, u12, u23, u31, convention) -> Constellation:
     l12 = OrientedLine(p12, u12)
     l23 = OrientedLine(p23, u23)
     l31 = OrientedLine(p31, u31)
-    f1 = _pair_frame(l12, l31, lams[0], phis[0], convention)
-    f2 = _pair_frame(l23, l12, lams[1], phis[1], convention)
-    f3 = _pair_frame(l31, l23, lams[2], phis[2], convention)
+    f1 = _pair_frame(l12, l31, lams[0], phis[0], common_perpendicular_feet(l12, l31)[0])
+    f2 = _pair_frame(l23, l12, lams[1], phis[1], common_perpendicular_feet(l23, l12)[0])
+    f3 = _pair_frame(l31, l23, lams[2], phis[2], common_perpendicular_feet(l31, l23)[0])
     return Constellation(l12, l23, l31, f1, f2, f3, convention)
+
+
+def _foot_by_cross(a: OrientedLine, b: OrientedLine) -> np.ndarray:
+    """Foot on a of the common perpendicular of two non-parallel lines.
+
+    common_perpendicular_feet divides by 1 - (u_a . u_b)^2, which loses
+    its leading digits when the lines are nearly parallel or antiparallel;
+    this divides by |u_a x u_b|^2, which keeps them.  The solver uses it only
+    to re-place the frames of a solution that failed its self-check, so that
+    every solution the first placement gives keeps its bits.
+    """
+    n = cross(a.direction, b.direction)
+    d = b.point - a.point
+    return a.point + (float(cross(d, b.direction) @ n) / float(n @ n)) * a.direction
+
+
+def _frames_at_cross_feet(c: Constellation, phis) -> Constellation:
+    """The same lines, every frame placed at the foot from _foot_by_cross."""
+    frames = [_pair_frame(a, b, f.lam, phis[i], _foot_by_cross(a, b))
+              for i, (a, b, f) in enumerate(c.pairs())]
+    return Constellation(c.l12, c.l23, c.l31, *frames, c.convention)
 
 
 def verify_constellation(c: Constellation, phis) -> ConstellationReport:

@@ -7,6 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+_E3 = np.array([0.0, 0.0, 1.0])
+
 
 def unit(v: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=float)
@@ -16,11 +18,25 @@ def unit(v: np.ndarray) -> np.ndarray:
     return v / n
 
 
+def cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cross product of two float 3-vectors.
+
+    The same multiplies and subtracts, in the same order, as numpy's
+    ``cross``, so the result carries the same bits, without its axis
+    handling, which dominates its cost on single vectors.  The components
+    are taken as Python floats: numpy's float64 scalars give some products
+    of two NaNs the other NaN's sign bit.
+    """
+    a0, a1, a2 = a.tolist()
+    b0, b1, b2 = b.tolist()
+    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+
+
 def angle_between(u: np.ndarray, v: np.ndarray) -> float:
     """Angle in [0, pi] between two vectors, robust near 0 and pi."""
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    return math.atan2(np.linalg.norm(np.cross(u, v)), float(u @ v))
+    return math.atan2(np.linalg.norm(cross(u, v)), float(u @ v))
 
 
 def rotation_about(axis: np.ndarray, angle: float) -> np.ndarray:
@@ -76,7 +92,7 @@ def common_perpendicular_feet(a: OrientedLine, b: OrientedLine, parallel_tol: fl
 
 def line_distance(a: OrientedLine, b: OrientedLine) -> float:
     """Distance between two lines (handles the parallel case)."""
-    n = np.cross(a.direction, b.direction)
+    n = cross(a.direction, b.direction)
     norm = np.linalg.norm(n)
     d = b.point - a.point
     if norm < 1e-12:
@@ -86,7 +102,7 @@ def line_distance(a: OrientedLine, b: OrientedLine) -> float:
 
 def signed_gap(a: OrientedLine, b: OrientedLine) -> float:
     """Perpendicular offset of b from a along unit(a.direction x b.direction)."""
-    n = unit(np.cross(a.direction, b.direction))
+    n = unit(cross(a.direction, b.direction))
     return float((b.point - a.point) @ n)
 
 
@@ -108,7 +124,7 @@ def ruling_residual(rotation: np.ndarray, translation: np.ndarray,
     if dh < 1e-12:
         return 1.0  # vertical line: maximally far from any ruling
     # distance from the line to the z-axis
-    n = np.cross(d, np.array([0.0, 0.0, 1.0]))
+    n = cross(d, _E3)
     res_axis = abs(float(p @ n)) / np.linalg.norm(n)
     # axis-crossing height and the twist mismatch there
     t_star = -(p[0] * d[0] + p[1] * d[1]) / (dh * dh)

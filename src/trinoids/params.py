@@ -123,7 +123,10 @@ def lambda_of_phi(phi) -> float:
     """
     phi = _unwrap(phi, Angle)
     _check_phi(phi)
-    return (math.pi - phi) * (math.pi + phi) / (4.0 * phi * phi)
+    denom = 4.0 * phi * phi
+    if denom == 0.0:
+        raise ValueError(f"phi = {phi} is too small: lambda(phi) overflows")
+    return (math.pi - phi) * (math.pi + phi) / denom
 
 
 def reduced_angle(phi: float) -> float:

@@ -23,6 +23,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .lines import cross
 from .params import _check_lambda
 
 
@@ -118,6 +119,7 @@ def catenoid_cousin_point(lam: float, x, y) -> np.ndarray:
     The parametrization is periodic in y with period 2*pi/a.  The quotient is
     evaluated with e^{|x|} factored out of numerator and denominator, so w
     stays positive in floating point out to |x| of a few hundred over a.
+    Beyond that, and for non-finite x or y, it raises ValueError.
     """
     _check_lambda(lam)
     a = math.sqrt(1.0 + 4.0 * lam)
@@ -130,20 +132,24 @@ def catenoid_cousin_point(lam: float, x, y) -> np.ndarray:
     pref = np.empty_like(x)
     w = np.empty_like(x)
     pos = x >= 0
-    xp = x[pos]
-    e2 = np.exp(-2.0 * xp)
-    den = cp + cm * e2
-    pref[pos] = -lam * (1.0 + e2) * np.exp(a * xp) / den
-    w[pos] = a * np.exp((a - 1.0) * xp) / den
-    xn = x[~pos]
-    e2 = np.exp(2.0 * xn)
-    den = cm + cp * e2
-    pref[~pos] = -lam * (1.0 + e2) * np.exp(a * xn) / den
-    w[~pos] = a * np.exp((a + 1.0) * xn) / den
+    # overflow and underflow are caught below, without numpy's warnings
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        xp = x[pos]
+        e2 = np.exp(-2.0 * xp)
+        den = cp + cm * e2
+        pref[pos] = -lam * (1.0 + e2) * np.exp(a * xp) / den
+        w[pos] = a * np.exp((a - 1.0) * xp) / den
+        xn = x[~pos]
+        e2 = np.exp(2.0 * xn)
+        den = cm + cp * e2
+        pref[~pos] = -lam * (1.0 + e2) * np.exp(a * xn) / den
+        w[~pos] = a * np.exp((a + 1.0) * xn) / den
+        out = np.stack([pref * np.cos(a * y), pref * np.sin(a * y), w], axis=-1)
 
-    if not np.all(w > 0.0):
-        raise FloatingPointError("w underflowed to 0; |x| too large for this lambda")
-    return np.stack([pref * np.cos(a * y), pref * np.sin(a * y), w], axis=-1)
+    if not (np.all(w > 0.0) and np.all(np.isfinite(out))):
+        raise ValueError("cousin point out of floating-point range (w underflowed to 0 "
+                         "or a coordinate is not finite); |x| or |y| too large for this lambda")
+    return out
 
 
 def cousin_period(lam: float) -> float:
@@ -235,7 +241,7 @@ def mean_curvature_estimate(
     Xvv = (F(x, y + h) - 2 * F(x, y) + F(x, y - h)) / h**2
     Xuv = (F(x + h, y + h) - F(x + h, y - h) - F(x - h, y + h) + F(x - h, y - h)) / (4 * h**2)
 
-    n = np.cross(Xu, Xv)
+    n = cross(Xu, Xv)
     norm = np.linalg.norm(n)
     if norm < 1e-14:
         return CurvatureEstimate(math.nan, step, "degenerate tangent plane")
@@ -273,7 +279,7 @@ class SurfaceGrid:
         if not np.all(np.isfinite(self.positions)):
             raise ValueError("grid positions must be finite")
         norms = np.linalg.norm(self.normals, axis=-1)
-        if np.any(np.abs(norms - 1.0) > tol):
+        if not np.all(np.abs(norms - 1.0) <= tol):
             raise ValueError("grid normals must be unit length")
         if self.model is Model.UPPER_HALF_SPACE and not np.all(self.positions[..., 2] > 0):
             raise ValueError("upper half-space grid needs w > 0 everywhere")
@@ -311,17 +317,20 @@ def surface_grid(kind: str, lam: float, xs, ys, ball_model: bool = False) -> Sur
             pts = halfspace_to_ball(pts)
         return pts
 
-    positions = sample(X, Y)
-    if kind == "cousin" or ball_model:
-        h = 1e-5
-        Xu = (sample(X + h, Y) - sample(X - h, Y)) / (2 * h)
-        Xv = (sample(X, Y + h) - sample(X, Y - h)) / (2 * h)
-        normals = np.cross(Xu, Xv)
-        normals /= np.linalg.norm(normals, axis=-1, keepdims=True)
-    else:
-        g = np.exp(X + 1j * Y)
-        m2 = np.abs(g) ** 2
-        normals = np.stack([2 * g.real, 2 * g.imag, m2 - 1.0], axis=-1) / (m2 + 1.0)[..., None]
+    # a grid out of floating-point range fails validate() below, with one
+    # message instead of numpy's warnings
+    with np.errstate(all="ignore"):
+        positions = sample(X, Y)
+        if kind == "cousin" or ball_model:
+            h = 1e-5
+            Xu = (sample(X + h, Y) - sample(X - h, Y)) / (2 * h)
+            Xv = (sample(X, Y + h) - sample(X, Y - h)) / (2 * h)
+            normals = np.cross(Xu, Xv)
+            normals /= np.linalg.norm(normals, axis=-1, keepdims=True)
+        else:
+            g = np.exp(X + 1j * Y)
+            m2 = np.abs(g) ** 2
+            normals = np.stack([2 * g.real, 2 * g.imag, m2 - 1.0], axis=-1) / (m2 + 1.0)[..., None]
     grid = SurfaceGrid(
         xs=xs,
         ys=ys,

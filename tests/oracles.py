@@ -7,15 +7,29 @@ sphere instead of a triangle solve, the emitter oracles format one float
 at a time instead of a whole array at once, the classification oracles
 write out each slack formula and membership rule separately, and the
 end-sampling oracles integrate every path on its own, one monomial power
-at a time, and the correction integral by quadrature.
+at a time, the correction integral by quadrature, and the constellation
+oracles take every cross product with np.cross.
 """
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 
+from trinoids import params
 from trinoids.classify import Membership, TripleTag
+from trinoids.classify import classify_triple as trinoids_classify_triple
+from trinoids.constellation import (
+    Constellation,
+    ConstellationReport,
+    ConstellationSolveError,
+    HelicoidFrame,
+    ParallelBoundaryWarning,
+    _screw_sign,
+)
+from trinoids.lines import OrientedLine, common_perpendicular_feet, unit
+from trinoids.params import PitchConvention, lambda_of_phi, pitch_coefficient, ray_distance_h
 from trinoids.weierstrass import (
     ExponentialData,
     PowerEndData,
@@ -468,3 +482,150 @@ def correction_integral_quadrature(data: PowerEndData, z: complex, tol: float = 
         value, _ = _quad_segment(f, seg, tol / max(len(segs), 1))
         total += value
     return total
+
+
+# ---------------------------------------------------------------------------
+# Original constellation solver: every cross product of two 3-vectors taken
+# with np.cross.  trinoids.lines.cross replaces it in the program and must
+# give exactly the same bits, so every document built from these functions
+# must match the program's byte for byte.
+
+
+def angle_between(u, v) -> float:
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
+    return math.atan2(np.linalg.norm(np.cross(u, v)), float(u @ v))
+
+
+def line_distance(a, b) -> float:
+    n = np.cross(a.direction, b.direction)
+    norm = np.linalg.norm(n)
+    d = b.point - a.point
+    if norm < 1e-12:
+        return float(np.linalg.norm(d - (d @ a.direction) * a.direction))
+    return abs(float(d @ n)) / norm
+
+
+def signed_gap(a, b) -> float:
+    n = unit(np.cross(a.direction, b.direction))
+    return float((b.point - a.point) @ n)
+
+
+def ruling_residual(rotation, translation, pitch: float, line) -> float:
+    d = rotation.T @ line.direction
+    p = rotation.T @ (line.point - translation)
+    res_horizontal = abs(d[2])
+    dh = math.hypot(d[0], d[1])
+    if dh < 1e-12:
+        return 1.0
+    n = np.cross(d, np.array([0.0, 0.0, 1.0]))
+    res_axis = abs(float(p @ n)) / np.linalg.norm(n)
+    t_star = -(p[0] * d[0] + p[1] * d[1]) / (dh * dh)
+    z_star = p[2] + t_star * d[2]
+    y_star = -z_star / pitch
+    res_twist = abs(d[0] * math.cos(y_star) + d[1] * math.sin(y_star)) / dh
+    return max(res_horizontal, res_axis, res_twist)
+
+
+def _pair_frame(a, b, lam: float, phi: float, convention):
+    qa, _ = common_perpendicular_feet(a, b)
+    n_hat = unit(np.cross(a.direction, b.direction))
+    e = -_screw_sign(phi) * n_hat
+    sigma = math.copysign(1.0, lam)
+    col0 = -sigma * np.cross(a.direction, e)
+    col1 = -sigma * a.direction
+    R = np.column_stack([col0, col1, e])
+    return HelicoidFrame(lam, R, qa)
+
+
+def _assemble(phis, lams, u12, u23, u31, convention):
+    chi = tuple(_screw_sign(p) for p in phis)
+    pitch = tuple(pitch_coefficient(lam, convention) for lam in lams)
+    c = tuple(chi[i] * pitch[i] * phis[i] for i in range(3))
+
+    n1 = unit(np.cross(u12, u31))
+    n2 = unit(np.cross(u23, u12))
+    n3 = unit(np.cross(u31, u23))
+
+    p12 = np.zeros(3)
+    p31 = c[0] * n1
+    e2 = unit(np.cross(u23, n2))
+    denom = float(e2 @ n3)
+    if abs(denom) < 1e-12:
+        raise ConstellationSolveError("coplanar direction triple; position solve singular")
+    x = -c[1]
+    y = (c[2] + float(p31 @ n3) - x * float(n2 @ n3)) / denom
+    p23 = x * n2 + y * e2
+
+    l12 = OrientedLine(p12, u12)
+    l23 = OrientedLine(p23, u23)
+    l31 = OrientedLine(p31, u31)
+    f1 = _pair_frame(l12, l31, lams[0], phis[0], convention)
+    f2 = _pair_frame(l23, l12, lams[1], phis[1], convention)
+    f3 = _pair_frame(l31, l23, lams[2], phis[2], convention)
+    return Constellation(l12, l23, l31, f1, f2, f3, convention)
+
+
+def verify_constellation(c, phis):
+    phis = tuple(float(p) for p in phis)
+    containment, angles, distances = [], [], []
+    for i, (a, b, frame) in enumerate(c.pairs()):
+        pitch = pitch_coefficient(frame.lam, c.convention)
+        containment.append(ruling_residual(frame.rotation, frame.translation, pitch, a))
+        containment.append(ruling_residual(frame.rotation, frame.translation, pitch, b))
+        r_i = params.reduced_angle(phis[i])
+        angles.append(abs(angle_between(a.direction, b.direction) - (math.pi - r_i)))
+        h_i = ray_distance_h(phis[i], c.convention)
+        distances.append(abs(line_distance(a, b) - h_i))
+    return ConstellationReport(tuple(containment), tuple(angles), tuple(distances))
+
+
+def solve_constellations(phi1, phi2, phi3, convention=PitchConvention.HALF_GAP,
+                         eps_face: float = 1e-12, residual_tol: float = 1e-9):
+    outcome = trinoids_classify_triple(phi1, phi2, phi3, eps_face=eps_face)
+    if outcome.tag is TripleTag.PARALLEL_BOUNDARY:
+        warnings.warn(
+            "reduced triple lies on the tetrahedron boundary (parallel "
+            "constellations); no generic solution exists",
+            ParallelBoundaryWarning,
+        )
+        return []
+    if outcome.tag is not TripleTag.GENERIC_ADMISSIBLE:
+        return []
+
+    phis = (phi1, phi2, phi3)
+    r = outcome.reduced
+    s = tuple(math.pi - ri for ri in r)
+    lams = tuple(lambda_of_phi(p) for p in phis)
+    u12 = np.array([1.0, 0.0, 0.0])
+    u31 = np.array([math.cos(s[0]), math.sin(s[0]), 0.0])
+    ax = math.cos(s[1])
+    ay = (math.cos(s[2]) - math.cos(s[0]) * math.cos(s[1])) / math.sin(s[0])
+    az2 = 1.0 - ax * ax - ay * ay
+    if az2 <= 0.0:
+        raise ConstellationSolveError(
+            f"direction solve degenerate (az^2 = {az2}); triple too close to the boundary"
+        )
+    az = math.sqrt(az2)
+
+    solutions = []
+    for sign in (1.0, -1.0):
+        u23 = np.array([ax, ay, sign * az])
+        sol = _assemble(phis, lams, u12, u23, u31, convention)
+        report = verify_constellation(sol, phis)
+        if not report.ok(residual_tol):
+            raise ConstellationSolveError(
+                f"solution failed self-check: max residual {report.max_residual:.3e}"
+            )
+        solutions.append(sol)
+    return solutions
+
+
+def invariant_set(lines):
+    """The original constellation._invariant_set on the np.cross angle and gap."""
+    l12, l23, l31 = lines
+    pairs = ((l12, l31), (l23, l12), (l31, l23))
+    angles = np.array([angle_between(a.direction, b.direction) for a, b in pairs])
+    gaps = np.array([signed_gap(a, b) for a, b in pairs])
+    triple = float(np.linalg.det(np.column_stack([l12.direction, l23.direction, l31.direction])))
+    return angles, gaps, math.copysign(1.0, triple)

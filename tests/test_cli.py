@@ -105,6 +105,13 @@ class TestConvert:
         code, _, err = run(capsys, "convert", "--from", "lambda", "0")
         assert code == 2
 
+    @pytest.mark.parametrize("source,value", [("phi", "1e-200"), ("bps", "3.2754355451562094e-240")])
+    def test_tiny_angle(self, capsys, source, value):
+        code, out, err = run(capsys, "convert", "--from", source, value)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: phi = ") and "too small" in err and err.count("\n") == 1
+
     def test_infinite_lambda(self, capsys):
         code, out, err = run(capsys, "convert", "--from", "lambda", "inf")
         assert code == 2
@@ -167,6 +174,47 @@ class TestSurface:
         assert err == "error: lambda must lie in (-1/4, inf) \\ {0}, got inf\n"
         assert "RuntimeWarning" not in err
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert not obj.exists()
+
+    @pytest.mark.parametrize("kind,lam,extra", [
+        ("cousin", "1", ["--xmin", "-1000", "--xmax", "1000"]),
+        ("cousin", "1", ["--xmin", "0", "--xmax", "1000"]),
+        ("cousin", "0.75", ["--ymax", "1e308"]),
+        ("cousin", "1", ["--xmin", "0", "--xmax", "300", "--model", "ball"]),
+        ("catenoid", "1", ["--xmin", "-1000", "--xmax", "1000"]),
+        ("helicoid", "1", ["--xmin", "-1000", "--xmax", "1000"]),
+    ])
+    def test_out_of_range_domain(self, capsys, tmp_path, kind, lam, extra):
+        obj = tmp_path / "x.obj"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, "surface", kind, lam, *extra, "--obj", str(obj))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        if kind == "cousin" and "--model" not in extra:
+            assert "too large for this lambda" in err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert not obj.exists()
+
+    def test_nan_normals_rejected(self, capsys, tmp_path):
+        # |g|^2 overflows here, so the Gauss-map normals are NaN although
+        # the positions are finite; such a grid used to be written
+        csv = tmp_path / "c.csv"
+        code, out, err = run(capsys, "surface", "catenoid", "1", "--xmin", "400",
+                             "--xmax", "401", "--nx", "3", "--ny", "3", "--csv", str(csv))
+        assert code == 2
+        assert err == "error: grid normals must be unit length\n"
+        assert not csv.exists()
+
+    @pytest.mark.parametrize("flag", ["--xmin", "--xmax", "--ymin", "--ymax"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_bounds(self, capsys, tmp_path, flag, value):
+        obj = tmp_path / "x.obj"
+        code, out, err = run(capsys, "surface", "cousin", "0.75", f"{flag}={value}",
+                             "--obj", str(obj))
+        assert code == 2
+        assert err == f"error: {flag} must be finite, got {float(value)}\n"
         assert not obj.exists()
 
     def test_no_output_requested(self, capsys):
@@ -242,6 +290,21 @@ class TestConstellation:
         code, _, err = run(capsys, "constellation", "1.6", "1.6", "1.6")
         assert code == 3
         assert "internal" in err
+
+
+@pytest.mark.parametrize("exc", [KeyError("boom"), TypeError("unsupported operand"),
+                                 ZeroDivisionError("float division by zero"),
+                                 RuntimeError("two\nlines")])
+def test_unexpected_exception_exits_3(capsys, monkeypatch, exc):
+    def fail(args, cfg):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_classify", fail)
+    code, out, err = run(capsys, "classify", "1", "1", "1")
+    assert code == 3
+    assert out == ""
+    assert err == f"internal error: {type(exc).__name__}: {' '.join(str(exc).splitlines())}\n"
+    assert "Traceback" not in err
 
 
 class TestVerifyEnd:
@@ -325,6 +388,18 @@ class TestConfigAndDeterminism:
                            repr(PI / 2), repr(PI / 2), repr(PI / 2))
         assert code == 0
         assert json.loads(out)["convention"] == "ruling-gap"
+        # the --config=PATH form used to be parsed, then silently ignored
+        code, out, _ = run(capsys, f"--config={cfg}", "constellation", "1.6", "1.6", "1.6")
+        assert code == 0
+        assert json.loads(out)["convention"] == "ruling-gap"
+
+    def test_abbreviated_config_flag_rejected(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"convention": "ruling-gap"}))
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--conf", str(cfg), "constellation", "1.6", "1.6", "1.6"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
 
     def test_bad_config(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -333,6 +408,38 @@ class TestConfigAndDeterminism:
             code, _, err = run(capsys, "--config", str(cfg), "classify", "1", "1", "1")
             assert code == 2
             assert "unknown config keys" in err
+        for doc, message in [
+            ({"arc_samples": "x"}, "arc_samples must be an integer"),
+            ({"tol": [1]}, "tol must be a finite number"),
+            ({"eps_face": None}, "eps_face must be a finite number"),
+            ([], "config must be a JSON object"),
+            ({"arc_samples": 3.5}, "arc_samples must be an integer"),
+            ({"boundary_samples": True}, "boundary_samples must be an integer"),
+            ({"tol": False}, "tol must be a finite number"),
+            ({"eps_face": "1e-12"}, "eps_face must be a finite number"),
+            ({"convention": [1]}, "is not a valid PitchConvention"),
+        ]:
+            cfg.write_text(json.dumps(doc))
+            code, out, err = run(capsys, "--config", str(cfg), "classify", "1", "1", "1")
+            assert code == 2, doc
+            assert out == ""
+            assert err.startswith("error: bad config: ") and err.count("\n") == 1, err
+            assert message in err
+            assert "Traceback" not in err
+        cfg.write_text("1e999")
+        assert run(capsys, "--config", str(cfg), "classify", "1", "1", "1")[0] == 2
+        cfg.write_text("[" * 100_000 + "]" * 100_000)
+        code, _, err = run(capsys, "--config", str(cfg), "classify", "1", "1", "1")
+        assert code == 2 and err.startswith("error: bad config: ") and err.count("\n") == 1
+
+    def test_config_numbers(self, capsys, tmp_path):
+        # integers are numbers; floats are not sample counts
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"tol": 1, "eps_face": 0, "arc_samples": 40}))
+        assert run(capsys, "--config", str(cfg), "classify", "1", "1", "1")[0] == 1
+        cfg.write_text(json.dumps({"tol": math.inf}))
+        code, _, err = run(capsys, "--config", str(cfg), "classify", "1", "1", "1")
+        assert code == 2 and "tol must be a finite number" in err
 
     def test_config_env_var(self, capsys, tmp_path, monkeypatch):
         cfg = tmp_path / "cfg.json"

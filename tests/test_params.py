@@ -52,6 +52,16 @@ class TestPhiLambda:
             with pytest.raises(ValueError):
                 lambda_of_phi(bad)
 
+    def test_tiny_phi(self):
+        # 4*phi^2 underflows to 0 below about 1e-162; that used to be a
+        # ZeroDivisionError
+        for tiny in (1e-200, 3e-240, 5e-324):
+            with pytest.raises(ValueError, match="too small"):
+                lambda_of_phi(tiny)
+        # just above, lambda is huge but finite, and the bits are unchanged
+        phi = 1e-150
+        assert lambda_of_phi(phi) == (PI - phi) * (PI + phi) / (4.0 * phi * phi)
+
     def test_round_trip(self):
         for lam in lambda_grid():
             back = lambda_of_phi(phi_of_lambda(lam))
