@@ -52,6 +52,12 @@ from .weierstrass import (
 )
 
 DEFAULT_RADII = tuple(0.5**k for k in range(1, 9))
+# pass thresholds: |direction z| of a horizontal ray, helicoid-fit ruling
+# residual, decay profile of exact containment, error of the boundary-ray gap
+HORIZONTAL_TOL = 1e-6
+FIT_RESIDUAL_TOL = 1e-3
+CONTAINMENT_FLOOR = 1e-8
+GAP_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -244,7 +250,7 @@ class HelicoidFit:
     message: str = ""
 
 
-def fit_helicoid(rays: RayFit, lam: float, residual_tol: float = 1e-3) -> HelicoidFit:
+def fit_helicoid(rays: RayFit, lam: float) -> HelicoidFit:
     """Place the helicoid with parameter lam so both rays are rulings.
 
     Uses the standard vertical drop 2*lambda per radian.  The closed form
@@ -300,7 +306,7 @@ def fit_helicoid(rays: RayFit, lam: float, residual_tol: float = 1e-3) -> Helico
             frame, residual = cand, res
     if residual > 1e-10:
         frame, residual = _polish_frame(frame, pitch, (rays.ray_pos, rays.ray_neg), residual)
-    ok = residual < residual_tol
+    ok = residual < FIT_RESIDUAL_TOL
     msg = "" if ok else (
         f"no consistent placement: residual {residual:.3e}, "
         f"twist/angle mismatch {mismatch:.3e} (pitch may not match the rays)"
@@ -402,13 +408,12 @@ class DecayProfile:
         return self.sup_distance[0] / max(self.sup_distance[-1], 1e-300)
 
 
-def decay_profile(sample: EndSample, fit: HelicoidFit,
-                  containment_floor: float = 1e-8) -> DecayProfile:
+def decay_profile(sample: EndSample, fit: HelicoidFit) -> DecayProfile:
     """Sup distance of each arc to the fitted helicoid, inner radii last.
 
     PASS iff the profile strictly decreases with radius and ends below
     5 percent of its initial value, or the whole profile already sits below
-    ``containment_floor`` (exact containment up to quadrature noise, where
+    CONTAINMENT_FLOOR (exact containment up to quadrature noise, where
     relative decay is meaningless).
     """
     if fit.frame is None:
@@ -422,7 +427,7 @@ def decay_profile(sample: EndSample, fit: HelicoidFit,
         good = d[flags] if np.any(flags) else d
         sups.append(float(good.max()))
     sups_t = tuple(sups)
-    below_floor = max(sups_t) < containment_floor
+    below_floor = max(sups_t) < CONTAINMENT_FLOOR
     decreasing = all(b < a for a, b in zip(sups_t, sups_t[1:]))
     reduced_enough = sups_t[-1] < 0.05 * sups_t[0]
     return DecayProfile(
@@ -451,7 +456,7 @@ class GapReport:
     passed: bool
 
 
-def gap_report(sample: EndSample, rays: RayFit, tol: float = 1e-6) -> GapReport:
+def gap_report(sample: EndSample, rays: RayFit) -> GapReport:
     """Compare the measured vertical gap with (1-alpha^2)*pi/(2*alpha)."""
     alpha = sample.alpha
     phi = math.pi * alpha
@@ -469,7 +474,7 @@ def gap_report(sample: EndSample, rays: RayFit, tol: float = 1e-6) -> GapReport:
         matches=matches,
         angle_measured=rays.angle,
         angle_expected=angle_expected,
-        passed=abs(measured - expected) <= tol,
+        passed=abs(measured - expected) <= GAP_TOL,
     )
 
 
@@ -514,28 +519,17 @@ class EndVerification:
 
     @property
     def passed(self) -> bool:
-        return (
-            self.slab.passed
-            and self.rays_horizontal
-            and self.normal_limit.passed
-            and self.fit.passed
-            and self.decay is not None
-            and self.decay.passed
-        )
+        return not self.failed_hypotheses()
 
     def failed_hypotheses(self) -> List[str]:
-        out = []
-        if not self.slab.passed:
-            out.append("slab-containment")
-        if not self.rays_horizontal:
-            out.append("horizontal-rays")
-        if not self.normal_limit.passed:
-            out.append("vertical-normal-limit")
-        if not self.fit.passed:
-            out.append("helicoid-fit")
-        if self.decay is None or not self.decay.passed:
-            out.append("decay")
-        return out
+        checks = (
+            ("slab-containment", self.slab.passed),
+            ("horizontal-rays", self.rays_horizontal),
+            ("vertical-normal-limit", self.normal_limit.passed),
+            ("helicoid-fit", self.fit.passed),
+            ("decay", self.decay is not None and self.decay.passed),
+        )
+        return [name for name, ok in checks if not ok]
 
 
 def verify_end(
@@ -544,8 +538,6 @@ def verify_end(
     samples_per_arc: int = 33,
     boundary_samples: int = 16,
     tol: float = 1e-10,
-    horizontal_tol: float = 1e-6,
-    fit_tol: float = 1e-3,
     fit_lam: Optional[float] = None,
 ) -> EndVerification:
     """Run the whole pipeline on symmetric power-end data.
@@ -559,8 +551,7 @@ def verify_end(
     rays = fit_rays(sample)
     gap = gap_report(sample, rays)
     normal = normal_limit_report(sample)
-    fit = fit_helicoid(rays, sample.lam if fit_lam is None else fit_lam,
-                       residual_tol=fit_tol)
+    fit = fit_helicoid(rays, sample.lam if fit_lam is None else fit_lam)
     decay = None
     if fit.frame is not None:
         decay = decay_profile(sample, fit)
@@ -569,7 +560,7 @@ def verify_end(
         lam=sample.lam,
         slab=slab,
         rays=rays,
-        rays_horizontal=rays.horizontality <= horizontal_tol,
+        rays_horizontal=rays.horizontality <= HORIZONTAL_TOL,
         gap=gap,
         normal_limit=normal,
         fit=fit,

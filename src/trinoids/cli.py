@@ -19,6 +19,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -62,7 +63,7 @@ def _emit(doc: dict, schema: str, json_path: Optional[str], force: bool) -> None
     emit.write_text(json_path, text, force)
 
 
-def cmd_classify(args, cfg: Config) -> int:
+def cmd_classify(args) -> int:
     phis = _parse_angles(args.phi, args.degrees)
     _check_positive("--eps-face", args.eps_face, allow_zero=True)
     outcome = classify.classify_triple(*phis, eps_face=args.eps_face)
@@ -79,7 +80,7 @@ def cmd_classify(args, cfg: Config) -> int:
     return EXIT_OK if outcome.tag is classify.TripleTag.GENERIC_ADMISSIBLE else EXIT_NEGATIVE
 
 
-def cmd_convert(args, cfg: Config) -> int:
+def cmd_convert(args) -> int:
     value = float(args.value)
     if args.source == "lambda":
         lam = value
@@ -107,7 +108,7 @@ def cmd_convert(args, cfg: Config) -> int:
     return EXIT_OK
 
 
-def cmd_surface(args, cfg: Config) -> int:
+def cmd_surface(args) -> int:
     lam = float(args.lam)
     if args.obj is None and args.csv is None:
         raise ValueError("nothing to do: pass --obj and/or --csv")
@@ -134,7 +135,7 @@ def cmd_surface(args, cfg: Config) -> int:
     return EXIT_OK
 
 
-def cmd_constellation(args, cfg: Config) -> int:
+def cmd_constellation(args) -> int:
     phis = _parse_angles(args.phi, args.degrees)
     convention = params.PitchConvention(args.convention)
     _check_positive("--eps-face", args.eps_face, allow_zero=True)
@@ -166,7 +167,7 @@ def cmd_constellation(args, cfg: Config) -> int:
     return EXIT_OK if solutions else EXIT_NEGATIVE
 
 
-def cmd_verify_end(args, cfg: Config) -> int:
+def cmd_verify_end(args) -> int:
     if args.fit_lam is not None:
         params._check_lambda(args.fit_lam)
     _check_positive("--tol", args.tol)
@@ -203,8 +204,9 @@ def cmd_verify_end(args, cfg: Config) -> int:
     return EXIT_OK if report.passed else EXIT_NEGATIVE
 
 
-def build_parser(cfg: Config) -> argparse.ArgumentParser:
-    # no abbreviations: main() finds --config by its full name only
+def build_parser() -> argparse.ArgumentParser:
+    """The argv parser; flags that a config file can set default to None."""
+    # abbreviations of the top-level flags (--conf for --config) are rejected
     parser = argparse.ArgumentParser(
         prog="trinoids",
         description="Classification and verification tools for catenoid-cousin end data.",
@@ -218,7 +220,7 @@ def build_parser(cfg: Config) -> argparse.ArgumentParser:
         p.add_argument("--force", action="store_true", help="overwrite existing files")
         if angles:
             p.add_argument("--degrees", action="store_true", help="angles are given in degrees")
-            p.add_argument("--eps-face", type=float, default=cfg.eps_face,
+            p.add_argument("--eps-face", type=float, default=None,
                            help="boundary tolerance for the tetrahedron faces")
 
     p = sub.add_parser("classify", help="classify an angle triple")
@@ -252,7 +254,7 @@ def build_parser(cfg: Config) -> argparse.ArgumentParser:
     p = sub.add_parser("constellation", help="solve the line constellations of a triple")
     p.add_argument("phi", nargs=3)
     p.add_argument("--convention", choices=[c.value for c in params.PitchConvention],
-                   default=cfg.convention.value)
+                   default=None)
     p.add_argument("--emit-obj", default=None, help="write clipped line segments as OBJ")
     p.add_argument("--box", type=float, default=10.0, help="clip box half-width for --emit-obj")
     p.add_argument("--patches", action="store_true",
@@ -262,11 +264,11 @@ def build_parser(cfg: Config) -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-end", help="run the conjugate-end pipeline on a data file")
     p.add_argument("data", help="JSON file with power_end data")
-    p.add_argument("--arc-samples", type=int, default=cfg.arc_samples)
-    p.add_argument("--boundary-samples", type=int, default=cfg.boundary_samples)
+    p.add_argument("--arc-samples", type=int, default=None)
+    p.add_argument("--boundary-samples", type=int, default=None)
     p.add_argument("--min-radius-exp", type=int, default=8,
                    help="sample down to radius 2^-N")
-    p.add_argument("--tol", type=float, default=cfg.tol)
+    p.add_argument("--tol", type=float, default=None)
     p.add_argument("--fit-lambda", dest="fit_lam", type=float, default=None,
                    help="fit against this end parameter instead of the data's own")
     p.add_argument("--csv", default=None, help="write the decay profile as CSV")
@@ -276,25 +278,17 @@ def build_parser(cfg: Config) -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    # --config must be read before defaults are baked into the parser
-    cfg_path = None
-    for idx, token in enumerate(argv):
-        if token == "--config" and idx + 1 < len(argv):
-            cfg_path = argv[idx + 1]
-            break
-        if token.startswith("--config="):
-            cfg_path = token[len("--config="):]
-            break
+    args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(cfg_path)
+        cfg = load_config(args.config)
     except (OSError, ValueError, RecursionError) as exc:
         print(f"error: bad config: {_one_line(exc)}", file=sys.stderr)
         return EXIT_INPUT
-    parser = build_parser(cfg)
-    args = parser.parse_args(argv)
+    for f in fields(Config):
+        if getattr(args, f.name, None) is None:
+            setattr(args, f.name, getattr(cfg, f.name))
     try:
-        return args.func(args, cfg)
+        return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {_one_line(exc)}", file=sys.stderr)
         return EXIT_INPUT

@@ -1,8 +1,8 @@
 """Run configuration for the command line.
 
-Defaults can be overridden by a JSON file named by the TRINOIDS_CONFIG
-environment variable, then by command-line flags.  No code path is random,
-so fixed settings make every emitted artifact byte-identical across runs.
+Defaults are overridden by the JSON file that --config or TRINOIDS_CONFIG
+names, then by command-line flags.  No code path is random, so fixed
+settings make every emitted artifact byte-identical across runs.
 """
 
 from __future__ import annotations

@@ -48,6 +48,11 @@ from .params import (
     reduced_angle,
 )
 
+# invariant tolerance of lines_congruent and mirror_related; frame_patch samples
+CONGRUENCE_TOL = 1e-9
+PATCH_S_SAMPLES = 9
+PATCH_Y_SAMPLES = 25
+
 
 class ConstellationSolveError(RuntimeError):
     """Solver produced a configuration that fails its own residual checks."""
@@ -296,7 +301,18 @@ def _invariant_set(lines) -> Tuple[np.ndarray, np.ndarray, float]:
     return angles, gaps, math.copysign(1.0, triple)
 
 
-def lines_congruent(a, b, tol: float = 1e-9) -> bool:
+def _invariants_match(a, b, handedness: float) -> bool:
+    """Equal angles and offsets, and triple-product signs tri_a == handedness * tri_b."""
+    ang_a, gap_a, tri_a = _invariant_set(tuple(a))
+    ang_b, gap_b, tri_b = _invariant_set(tuple(b))
+    return (
+        bool(np.all(np.abs(ang_a - ang_b) < CONGRUENCE_TOL))
+        and bool(np.all(np.abs(gap_a - gap_b) < CONGRUENCE_TOL))
+        and tri_a == handedness * tri_b
+    )
+
+
+def lines_congruent(a, b) -> bool:
     """True iff a proper rigid motion maps line triple a onto b.
 
     Labels and orientations are preserved.  Decided through a complete
@@ -304,33 +320,20 @@ def lines_congruent(a, b, tol: float = 1e-9) -> bool:
     signed perpendicular offsets, and the sign of the direction triple
     product.
     """
-    ang_a, gap_a, tri_a = _invariant_set(tuple(a))
-    ang_b, gap_b, tri_b = _invariant_set(tuple(b))
-    return (
-        bool(np.all(np.abs(ang_a - ang_b) < tol))
-        and bool(np.all(np.abs(gap_a - gap_b) < tol))
-        and tri_a == tri_b
-    )
+    return _invariants_match(a, b, 1.0)
 
 
-def mirror_related(a, b, tol: float = 1e-9) -> bool:
+def mirror_related(a, b) -> bool:
     """True iff the triples share angles and signed offsets with opposite
     handedness (equal invariant set except a flipped triple-product sign).
 
     This is exactly the relation between the two solutions of
     solve_constellations for one angle triple.
     """
-    ang_a, gap_a, tri_a = _invariant_set(tuple(a))
-    ang_b, gap_b, tri_b = _invariant_set(tuple(b))
-    return (
-        bool(np.all(np.abs(ang_a - ang_b) < tol))
-        and bool(np.all(np.abs(gap_a - gap_b) < tol))
-        and tri_a == -tri_b
-    )
+    return _invariants_match(a, b, -1.0)
 
 
-def frame_patch(frame: HelicoidFrame, phi: float, convention: PitchConvention,
-                n_s: int = 9, n_y: int = 25) -> np.ndarray:
+def frame_patch(frame: HelicoidFrame, phi: float, convention: PitchConvention) -> np.ndarray:
     """Quad-mesh positions of the framed helicoid piece around its two rulings.
 
     The meshed set is the convention's pitch surface, i.e. the standard
@@ -343,8 +346,8 @@ def frame_patch(frame: HelicoidFrame, phi: float, convention: PitchConvention,
     pitch = pitch_coefficient(frame.lam, convention)
     half_width = max(1.0, 1.5 * abs(pitch) * phi)
     x_max = math.asinh(half_width / abs(pitch))
-    xs = np.linspace(-x_max, x_max, n_s)
-    ys = np.linspace(-0.2, phi + 0.2, n_y)
+    xs = np.linspace(-x_max, x_max, PATCH_S_SAMPLES)
+    ys = np.linspace(-0.2, phi + 0.2, PATCH_Y_SAMPLES)
     pts = helicoid_point(pitch / 2.0, xs[None, :], ys[:, None])
     return pts @ frame.rotation.T + frame.translation
 

@@ -64,14 +64,16 @@ def _segments(lines_in: Iterable[OrientedLine], box: float) -> tuple[str, int]:
     for line in lines_in:
         # clip by intersecting the parameter intervals per axis
         lo, hi = -np.inf, np.inf
-        for k in range(3):
-            d, p = line.direction[k], line.point[k]
-            if abs(d) < 1e-15:
-                if abs(p) > box:
-                    lo, hi = 1.0, 0.0
-                continue
-            ta, tb = (-box - p) / d, (box - p) / d
-            lo, hi = max(lo, min(ta, tb)), min(hi, max(ta, tb))
+        # a huge box overflows to an infinite parameter, which clips correctly
+        with np.errstate(over="ignore"):
+            for k in range(3):
+                d, p = line.direction[k], line.point[k]
+                if abs(d) < 1e-15:
+                    if abs(p) > box:
+                        lo, hi = 1.0, 0.0
+                    continue
+                ta, tb = (-box - p) / d, (box - p) / d
+                lo, hi = max(lo, min(ta, tb)), min(hi, max(ta, tb))
         if not lo < hi:
             continue
         out.append(_format_rows(VERTEX_ROW, [line.at(float(lo)), line.at(float(hi))]))

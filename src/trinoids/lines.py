@@ -8,6 +8,8 @@ from dataclasses import dataclass
 import numpy as np
 
 _E3 = np.array([0.0, 0.0, 1.0])
+# lines whose directions are closer to parallel have no unique common perpendicular
+PARALLEL_TOL = 1e-12
 
 
 def unit(v: np.ndarray) -> np.ndarray:
@@ -77,13 +79,13 @@ class OrientedLine:
         return OrientedLine(rotation @ self.point + translation, rotation @ self.direction)
 
 
-def common_perpendicular_feet(a: OrientedLine, b: OrientedLine, parallel_tol: float = 1e-12):
+def common_perpendicular_feet(a: OrientedLine, b: OrientedLine):
     """Feet (qa, qb) of the common perpendicular of two non-parallel lines."""
     d = b.point - a.point
     ua, ub = a.direction, b.direction
     c = float(ua @ ub)
     denom = 1.0 - c * c
-    if denom < parallel_tol**2:
+    if denom < PARALLEL_TOL**2:
         raise ValueError("lines are (nearly) parallel; no unique common perpendicular")
     ta = (float(d @ ua) - c * float(d @ ub)) / denom
     tb = (c * float(d @ ua) - float(d @ ub)) / denom

@@ -33,14 +33,18 @@ class PitchConvention(Enum):
     RULING_GAP = "ruling-gap"
 
 
-def _check_lambda(lam: float) -> None:
-    if not (-0.25 < lam < math.inf) or lam == 0.0:
-        raise ValueError(f"lambda must lie in (-1/4, inf) \\ {{0}}, got {lam}")
+def _domain_check(name: str, lo: float, hole: float, domain: str):
+    """The range check of one parameter: it must lie in (lo, inf) minus {hole}."""
+    def check(value: float) -> None:
+        if not (lo < value < math.inf) or value == hole:
+            raise ValueError(f"{name} must lie in {domain}, got {value}")
+    return check
 
 
-def _check_phi(phi: float) -> None:
-    if not (phi > 0.0) or phi == math.pi:
-        raise ValueError(f"phi must lie in (0, inf) \\ {{pi}}, got {phi}")
+_check_lambda = _domain_check("lambda", -0.25, 0.0, "(-1/4, inf) \\ {0}")
+_check_phi = _domain_check("phi", 0.0, math.pi, "(0, inf) \\ {pi}")
+_check_mu = _domain_check("mu", -0.5, 0.0, "(-1/2, inf) \\ {0}")
+_check_bps = _domain_check("lambda_bps", 0.0, 0.5, "(0, inf) \\ {1/2}")
 
 
 @dataclass(frozen=True)
@@ -82,8 +86,7 @@ class BryantParameter:
     mu: float
 
     def __post_init__(self) -> None:
-        if not (self.mu > -0.5) or self.mu == 0.0:
-            raise ValueError(f"mu must lie in (-1/2, inf) \\ {{0}}, got {self.mu}")
+        _check_mu(self.mu)
 
 
 @dataclass(frozen=True)
@@ -93,10 +96,7 @@ class BpsParameter:
     lambda_bps: float
 
     def __post_init__(self) -> None:
-        if not (self.lambda_bps > 0.0) or self.lambda_bps == 0.5:
-            raise ValueError(
-                f"lambda_bps must lie in (0, inf) \\ {{1/2}}, got {self.lambda_bps}"
-            )
+        _check_bps(self.lambda_bps)
 
 
 def _unwrap(value, wrapper) -> float:
@@ -166,21 +166,26 @@ def pitch_coefficient(lam, convention: PitchConvention = PitchConvention.HALF_GA
 def bryant_mu_to_lambda(mu) -> float:
     """lambda for Bryant's parameter mu: inverse end angle of pi*(2*mu + 1)."""
     mu = _unwrap(mu, BryantParameter)
-    if not (mu > -0.5) or mu == 0.0:
-        raise ValueError(f"mu must lie in (-1/2, inf) \\ {{0}}, got {mu}")
+    _check_mu(mu)
     return lambda_of_phi(math.pi * (2.0 * mu + 1.0))
 
 
 def lambda_to_bryant_mu(lam) -> float:
-    """Bryant's mu for lambda: mu = phi/(2*pi) - 1/2."""
-    return phi_of_lambda(lam) / TWO_PI - 0.5
+    """Bryant's mu for lambda: mu = phi/(2*pi) - 1/2.
+
+    Above lambda of about 8e31, mu rounds to -1/2, outside its domain.
+    """
+    lam = _unwrap(lam, CatenoidParameter)
+    mu = phi_of_lambda(lam) / TWO_PI - 0.5
+    if not mu > -0.5:
+        raise ValueError(f"lambda = {lam} is too large: Bryant's mu rounds to -1/2")
+    return mu
 
 
 def bps_to_lambda(bps) -> float:
     """lambda for Bobenko's parameter: inverse end angle of 2*pi*lambda_bps."""
     bps = _unwrap(bps, BpsParameter)
-    if not (bps > 0.0) or bps == 0.5:
-        raise ValueError(f"lambda_bps must lie in (0, inf) \\ {{1/2}}, got {bps}")
+    _check_bps(bps)
     return lambda_of_phi(TWO_PI * bps)
 
 

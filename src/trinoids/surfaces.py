@@ -26,6 +26,9 @@ import numpy as np
 from .lines import cross
 from .params import _check_lambda
 
+# SurfaceGrid.validate accepts normals whose length is within this of 1
+UNIT_NORMAL_TOL = 1e-10
+
 
 class Model(Enum):
     EUCLIDEAN = "euclidean"
@@ -275,11 +278,11 @@ class SurfaceGrid:
     model: Model
     kind: str = field(default="")
 
-    def validate(self, tol: float = 1e-10) -> None:
+    def validate(self) -> None:
         if not np.all(np.isfinite(self.positions)):
             raise ValueError("grid positions must be finite")
         norms = np.linalg.norm(self.normals, axis=-1)
-        if not np.all(np.abs(norms - 1.0) <= tol):
+        if not np.all(np.abs(norms - 1.0) <= UNIT_NORMAL_TOL):
             raise ValueError("grid normals must be unit length")
         if self.model is Model.UPPER_HALF_SPACE and not np.all(self.positions[..., 2] > 0):
             raise ValueError("upper half-space grid needs w > 0 everywhere")

@@ -400,14 +400,13 @@ def correction_bound(data: PowerEndData) -> float:
     return float(2.0 * sum(abs(c) / (k + 1.0) for k, c in enumerate(rho)))
 
 
-def correction_integral(data: PowerEndData, z: complex, tol: float = 1e-10) -> complex:
+def correction_integral(data: PowerEndData, z: complex) -> complex:
     """C(z) = Int_1^z R(xi) d xi = sum_k rho_k (z^{k+1} - 1)/(k+1), exactly.
 
     R is the polynomial of correction_coefficients, so C is its
     antiderivative vanishing at 1, evaluated by Horner; C is bounded on the
     closed upper half-disk and real on (0, 1] for real-coefficient data.
-    z must lie in the closed upper half-disk.  ``tol`` is unused: it is
-    kept so that callers of the former quadrature version still work.
+    z must lie in the closed upper half-disk.
     """
     if not isinstance(data, PowerEndData):
         raise TypeError("correction_integral is defined for PowerEndData")

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -117,6 +120,34 @@ class TestConvert:
         assert code == 2
         assert out == ""
         assert err == "error: lambda must lie in (-1/4, inf) \\ {0}, got inf\n"
+
+    @pytest.mark.parametrize("source,name", [("phi", "phi"), ("mu", "mu"), ("bps", "lambda_bps")])
+    def test_infinite_value(self, capsys, source, name):
+        code, out, err = run(capsys, "convert", "--from", source, "inf")
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {name} must lie in (") and err.endswith(", got inf\n")
+
+    @pytest.mark.parametrize("source,value", [("lambda", "1e32"),
+                                              ("lambda", "2.588802401840145e+75"),
+                                              ("bps", "6.334363284340853e-96")])
+    def test_mu_rounds_to_minus_half(self, capsys, tmp_path, source, value):
+        path = tmp_path / "out.json"
+        code, out, err = run(capsys, "convert", "--from", source, value, "--json", str(path))
+        assert code == 2
+        assert out == "" and not path.exists()
+        assert err.startswith("error: lambda = ") and "too large" in err and err.count("\n") == 1
+
+    def test_largest_lambda(self, capsys):
+        code, out, _ = run(capsys, "convert", "--from", "lambda", "1e31")
+        assert code == 0
+        assert out == (
+            '{\n  "a": 6324555320336759.0,\n  "bobenko_delta": 7.905694150420947e-17,\n'
+            '  "h_half_gap": 4967294132898051.0,\n  "h_ruling_gap": 9934588265796102.0,\n'
+            '  "lambda": 1e+31,\n  "lambda_bps": 7.905694150420947e-17,\n'
+            '  "mu_bryant": -0.49999999999999994,\n  "phi": 4.96729413289805e-16,\n'
+            '  "reduced_angle": 4.96729413289805e-16,\n  "total_curvature": -1.98691765315922e-15\n}\n'
+        )
 
 
 class TestSurface:
@@ -296,7 +327,7 @@ class TestConstellation:
                                  ZeroDivisionError("float division by zero"),
                                  RuntimeError("two\nlines")])
 def test_unexpected_exception_exits_3(capsys, monkeypatch, exc):
-    def fail(args, cfg):
+    def fail(args):
         raise exc
 
     monkeypatch.setattr(cli, "cmd_classify", fail)
@@ -392,6 +423,61 @@ class TestConfigAndDeterminism:
         code, out, _ = run(capsys, f"--config={cfg}", "constellation", "1.6", "1.6", "1.6")
         assert code == 0
         assert json.loads(out)["convention"] == "ruling-gap"
+
+    # (argv, TRINOIDS_CONFIG, exit code, convention in the output); GOOD names
+    # a config with the ruling-gap convention, BAD one that fails to load
+    SETTINGS = [
+        (["--config", "GOOD", "constellation", "1.6", "1.6", "1.6"], None, 0, "ruling-gap"),
+        (["constellation", "1.6", "1.6", "1.6"], "GOOD", 0, "ruling-gap"),
+        (["constellation", "1.6", "1.6", "1.6"], None, 0, "half-gap"),
+        (["--config", "GOOD", "constellation", "--convention", "half-gap", "1.6", "1.6", "1.6"],
+         None, 0, "half-gap"),
+        (["constellation", "--convention", "half-gap", "1.6", "1.6", "1.6"], "GOOD", 0, "half-gap"),
+        (["--config", "BAD", "--config", "GOOD", "constellation", "1.6", "1.6", "1.6"],
+         None, 0, "ruling-gap"),
+        (["--config", "GOOD", "--config", "BAD", "constellation", "1.6", "1.6", "1.6"],
+         None, 2, "error: bad config: "),
+        (["--config", "BAD", "--help"], None, 0, "usage: trinoids"),
+        (["classify", "--", "--config", "BAD", "1"], None, 2,
+         "error: could not convert string to float: '--config'"),
+    ]
+
+    @pytest.mark.parametrize("argv,env,code,expected", SETTINGS, ids=[
+        "config-file", "env-var", "no-config", "flag-over-file", "flag-over-env",
+        "last-config-good", "last-config-bad", "help-before-config", "config-after-dashes"])
+    def test_flags_and_config(self, capsys, tmp_path, monkeypatch, argv, env, code, expected):
+        paths = {"GOOD": tmp_path / "good.json", "BAD": tmp_path / "bad.json"}
+        paths["GOOD"].write_text(json.dumps({"convention": "ruling-gap"}))
+        paths["BAD"].write_text(json.dumps({"arc_samples": "x"}))
+        argv = [str(paths.get(token, token)) for token in argv]
+        if env is None:
+            monkeypatch.delenv("TRINOIDS_CONFIG", raising=False)
+        else:
+            monkeypatch.setenv("TRINOIDS_CONFIG", str(paths[env]))
+        try:
+            got = cli.main(argv)
+        except SystemExit as exc:  # --help
+            got = exc.code
+        out, err = capsys.readouterr()
+        assert got == code, err
+        if code == 2:
+            assert err.startswith(expected) and err.count("\n") == 1, err
+        elif out.startswith("usage:"):
+            assert out.startswith(expected)
+        else:
+            assert json.loads(out)["convention"] == expected
+
+    def test_help_as_a_program(self):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [os.path.join(os.path.dirname(__file__), os.pardir, "src"),
+             os.environ.get("PYTHONPATH", "")]))
+        for command in ([], ["classify"], ["convert"], ["surface"], ["constellation"],
+                        ["verify-end"]):
+            proc = subprocess.run([sys.executable, "-m", "trinoids.cli", *command, "--help"],
+                                  env=env, capture_output=True, text=True, timeout=60)
+            assert proc.returncode == 0, (command, proc.stderr)
+            assert proc.stdout.startswith(" ".join(["usage: trinoids", *command])), command
+            assert proc.stderr == ""
 
     def test_abbreviated_config_flag_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -83,10 +84,17 @@ def test_segments_and_patches():
     patches = [constellation.frame_patch(frame, phis[i], convention)
                for c in solutions for i, (_, _, frame) in enumerate(c.pairs())]
     patches.append(np.arange(2 * 3 * 3, dtype=float).reshape(3, 2, 3) - 4.5)
-    for box in (10.0, 0.5):
-        expected = oracles.obj_from_segments_and_patches(segments, patches, box)
-        assert emit.obj_from_segments_and_patches(segments, patches, box) == expected
-        assert emit.obj_from_segments(segments, box) == oracles.obj_from_segments(segments, box)
+    for box in (10.0, 0.5, 1e308):
+        # 1e308 overflows the clip parameters; that must stay silent
+        with np.errstate(over="ignore"):
+            expected = oracles.obj_from_segments_and_patches(segments, patches, box)
+            expected_segments = oracles.obj_from_segments(segments, box)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = emit.obj_from_segments_and_patches(segments, patches, box)
+            got_segments = emit.obj_from_segments(segments, box)
+        assert got == expected
+        assert got_segments == expected_segments
     assert emit.obj_from_segments_and_patches([], patches) == \
         oracles.obj_from_segments_and_patches([], patches)
     assert emit.obj_from_segments_and_patches(segments, []) == \

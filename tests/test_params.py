@@ -51,6 +51,13 @@ class TestPhiLambda:
         for bad in (0.0, -1.0, PI):
             with pytest.raises(ValueError):
                 lambda_of_phi(bad)
+        # each parameter's own check rejects inf, and names that parameter
+        for convert, wrapper, name in [(lambda_of_phi, Angle, "phi"),
+                                       (bryant_mu_to_lambda, BryantParameter, "mu"),
+                                       (bps_to_lambda, BpsParameter, "lambda_bps")]:
+            for call in (convert, wrapper):
+                with pytest.raises(ValueError, match=f"^{name} must lie in .*got inf$"):
+                    call(math.inf)
 
     def test_tiny_phi(self):
         # 4*phi^2 underflows to 0 below about 1e-162; that used to be a
@@ -158,6 +165,11 @@ class TestConventionConversions:
             bryant_mu_to_lambda(0.0)
         with pytest.raises(ValueError):
             bryant_mu_to_lambda(-0.5)
+        # past about 8e31, mu = phi/(2 pi) - 1/2 rounds to -1/2
+        assert lambda_to_bryant_mu(1e31) > -0.5
+        for lam in (1e32, 2.588802401840145e75):
+            with pytest.raises(ValueError, match="too large"):
+                lambda_to_bryant_mu(lam)
 
     def test_bps_examples(self):
         assert bps_to_lambda(0.25) == pytest.approx(0.75, rel=1e-14)

@@ -204,7 +204,7 @@ class TestCorrectionIntegral:
         for _ in range(10):
             pe = random_power_end(rng)
             for s in (0.9, 0.4, 0.05):
-                c = correction_integral(pe, s, 1e-12)
+                c = correction_integral(pe, s)
                 assert abs(c.imag) < 1e-11
 
     def test_matches_closed_form(self):
@@ -212,7 +212,7 @@ class TestCorrectionIntegral:
         for _ in range(20):
             pe = random_power_end(rng)
             z = rng.uniform(0.05, 1.0) * np.exp(1j * rng.uniform(0, PI))
-            got = correction_integral(pe, z, 1e-12)
+            got = correction_integral(pe, z)
             want = oracles.correction_closed_form(pe, z)
             assert got == pytest.approx(want, abs=1e-10)
             want = oracles.correction_integral_quadrature(pe, z, 1e-12)
@@ -235,7 +235,7 @@ class TestCorrectionIntegral:
             third = integrate(pe, IntegrationPath(1.0, z, Route.RADIAL_THEN_ARC), 1e-11)[2]
             coef = principal_log_coefficient(pe)
             dlog = math.log(abs(z)) + 1j * branch_arg(z)
-            split = (coef * dlog).real + 2.0 * correction_integral(pe, z, 1e-12).real
+            split = (coef * dlog).real + 2.0 * correction_integral(pe, z).real
             assert third == pytest.approx(split, abs=1e-9)
 
     def test_domain(self):
