@@ -16,6 +16,7 @@ error or any other unexpected failure.  Every error is one line on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -149,7 +150,8 @@ def cmd_constellation(args) -> int:
         "tag": outcome.tag.value,
         "convention": convention.value,
         "count": len(solutions),
-        "solutions": [constellation.constellation_to_json(c, phis) for c in solutions],
+        "solutions": [constellation.constellation_to_json(c, phis, c.self_check)
+                      for c in solutions],
     }
     _emit(doc, "constellation.schema.json", args.json, args.force)
     if args.emit_obj and solutions:
@@ -226,14 +228,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="classify an angle triple")
     p.add_argument("phi", nargs=3, help="three angles in J = (0, inf) \\ {pi}")
     add_common(p, angles=True)
-    p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("convert", help="convert between parameter conventions")
     p.add_argument("--from", dest="source", required=True,
                    choices=["lambda", "phi", "mu", "bps"])
     p.add_argument("value", help="parameter value in the source convention")
     add_common(p)
-    p.set_defaults(func=cmd_convert)
 
     p = sub.add_parser("surface", help="sample a catalog surface to OBJ/CSV")
     p.add_argument("kind", choices=["helicoid", "catenoid", "cousin"])
@@ -249,7 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--obj", default=None)
     p.add_argument("--csv", default=None)
     p.add_argument("--force", action="store_true")
-    p.set_defaults(func=cmd_surface)
 
     p = sub.add_parser("constellation", help="solve the line constellations of a triple")
     p.add_argument("phi", nargs=3)
@@ -260,7 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--patches", action="store_true",
                    help="also mesh the three inscribing helicoid patches into the OBJ")
     add_common(p, angles=True)
-    p.set_defaults(func=cmd_constellation)
 
     p = sub.add_parser("verify-end", help="run the conjugate-end pipeline on a data file")
     p.add_argument("data", help="JSON file with power_end data")
@@ -273,12 +271,17 @@ def build_parser() -> argparse.ArgumentParser:
                    help="fit against this end parameter instead of the data's own")
     p.add_argument("--csv", default=None, help="write the decay profile as CSV")
     add_common(p)
-    p.set_defaults(func=cmd_verify_end)
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The parser of ``main``, built on first use and reused for the process."""
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
     except (OSError, ValueError, RecursionError) as exc:
@@ -288,7 +291,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if getattr(args, f.name, None) is None:
             setattr(args, f.name, getattr(cfg, f.name))
     try:
-        return args.func(args)
+        # looked up per call, so that a replaced cmd_* is the one that runs
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except (ValueError, OSError) as exc:
         print(f"error: {_one_line(exc)}", file=sys.stderr)
         return EXIT_INPUT

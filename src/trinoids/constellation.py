@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -97,6 +97,9 @@ class Constellation:
     f2: HelicoidFrame
     f3: HelicoidFrame
     convention: PitchConvention
+    # residuals of the solver's self-check for the triple it was solved for;
+    # None for a constellation built by other means
+    self_check: Optional[ConstellationReport] = field(default=None, compare=False)
 
     def lines(self) -> Tuple[OrientedLine, OrientedLine, OrientedLine]:
         return (self.l12, self.l23, self.l31)
@@ -165,7 +168,8 @@ def solve_constellations(
     direction (1, 0, 0) and l31's direction lies in the xy-plane.
 
     Raises ConstellationSolveError if a solution fails its own residual
-    checks at residual_tol (never returned silently).
+    checks at residual_tol (never returned silently); each returned solution
+    carries the report of those checks as ``self_check``.
     """
     outcome = classify_triple(phi1, phi2, phi3, eps_face=eps_face)
     if outcome.tag is TripleTag.PARALLEL_BOUNDARY:
@@ -205,12 +209,13 @@ def solve_constellations(
             # a nearly antiparallel pair whose perpendicular foot lies far
             # out (see _foot_by_cross); rare, except within 1e-9 of a face
             replaced = _frames_at_cross_feet(sol, phis)
-            if not verify_constellation(replaced, phis).ok(residual_tol):
+            replaced_report = verify_constellation(replaced, phis)
+            if not replaced_report.ok(residual_tol):
                 raise ConstellationSolveError(
                     f"solution failed self-check: max residual {report.max_residual:.3e}"
                 )
-            sol = replaced
-        solutions.append(sol)
+            sol, report = replaced, replaced_report
+        solutions.append(replace(sol, self_check=report))
     return solutions
 
 

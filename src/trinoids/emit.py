@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import secrets
@@ -133,10 +134,26 @@ def load_schema(name: str) -> dict:
         return json.load(fh)
 
 
-def validate_against_schema(doc: dict, schema_name: str) -> None:
+@functools.lru_cache(maxsize=None)
+def _validator(name: str):
+    """The validator of a shipped schema; the schema is loaded and checked
+    against its metaschema once per process."""
     import jsonschema
 
-    jsonschema.validate(to_plain(doc), load_schema(schema_name))
+    schema = load_schema(name)
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
+
+
+def validate_against_schema(doc: dict, schema_name: str) -> None:
+    """``jsonschema.validate`` without checking the schema again on every call:
+    the same best-matching error is raised."""
+    import jsonschema
+
+    error = jsonschema.exceptions.best_match(_validator(schema_name).iter_errors(to_plain(doc)))
+    if error is not None:
+        raise error
 
 
 def write_text(path: Optional[str], text: str, force: bool = False) -> None:

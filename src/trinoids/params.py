@@ -119,14 +119,18 @@ def lambda_of_phi(phi) -> float:
     Evaluated as (pi - phi)(pi + phi)/(4 phi^2).  Near phi = pi the result
     carries the absolute round-off of pi, so |lambda| below ~1e-12 cannot be
     recovered to full relative precision; callers sampling near the puncture
-    are responsible for staying away from it.
+    are responsible for staying away from it.  Above phi of about 4e8 the
+    result rounds to -1/4, and above about 1e154 it is NaN; both raise.
     """
     phi = _unwrap(phi, Angle)
     _check_phi(phi)
     denom = 4.0 * phi * phi
     if denom == 0.0:
         raise ValueError(f"phi = {phi} is too small: lambda(phi) overflows")
-    return (math.pi - phi) * (math.pi + phi) / denom
+    lam = (math.pi - phi) * (math.pi + phi) / denom
+    if not lam > -0.25:
+        raise ValueError(f"phi = {phi} is too large: lambda(phi) rounds to -1/4")
+    return lam
 
 
 def reduced_angle(phi: float) -> float:

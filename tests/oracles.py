@@ -7,17 +7,21 @@ sphere instead of a triangle solve, the emitter oracles format one float
 at a time instead of a whole array at once, the classification oracles
 write out each slack formula and membership rule separately, and the
 end-sampling oracles integrate every path on its own, one monomial power
-at a time, the correction integral by quadrature, and the constellation
-oracles take every cross product with np.cross.
+at a time, the correction integral by quadrature, the constellation
+oracles take every cross product with np.cross, and the command-line
+oracle builds its parser and checks each schema anew on every call.
 """
 
 import cmath
 import math
+import sys
 import warnings
+from dataclasses import fields
 
+import jsonschema
 import numpy as np
 
-from trinoids import params
+from trinoids import cli, emit, params
 from trinoids.classify import Membership, TripleTag
 from trinoids.classify import classify_triple as trinoids_classify_triple
 from trinoids.constellation import (
@@ -34,6 +38,7 @@ from trinoids.weierstrass import (
     ExponentialData,
     PowerEndData,
     IntegrationPath,
+    QuadratureError,
     Route,
     branch_log,
     branch_power,
@@ -629,3 +634,45 @@ def invariant_set(lines):
     gaps = np.array([signed_gap(a, b) for a, b in pairs])
     triple = float(np.linalg.det(np.column_stack([l12.direction, l23.direction, l31.direction])))
     return angles, gaps, math.copysign(1.0, triple)
+
+
+# ---------------------------------------------------------------------------
+# Original command-line entry point: a fresh argparse tree and a full
+# jsonschema.validate, which checks the schema against its metaschema, on
+# every call.  trinoids.cli.main builds both once per process and must give
+# the same exit code, output and files.
+
+def validate_against_schema(doc, schema_name: str) -> None:
+    jsonschema.validate(emit.to_plain(doc), emit.load_schema(schema_name))
+
+
+def cli_main(argv) -> int:
+    """The original cli.main; every emitted document is validated by
+    validate_against_schema above for the length of the call."""
+    saved = emit.validate_against_schema
+    emit.validate_against_schema = validate_against_schema
+    try:
+        args = cli.build_parser().parse_args(argv)
+        try:
+            cfg = cli.load_config(args.config)
+        except (OSError, ValueError, RecursionError) as exc:
+            print(f"error: bad config: {cli._one_line(exc)}", file=sys.stderr)
+            return cli.EXIT_INPUT
+        for f in fields(cli.Config):
+            if getattr(args, f.name, None) is None:
+                setattr(args, f.name, getattr(cfg, f.name))
+        command = getattr(cli, "cmd_" + args.command.replace("-", "_"))
+        try:
+            return command(args)
+        except (ValueError, OSError) as exc:
+            print(f"error: {cli._one_line(exc)}", file=sys.stderr)
+            return cli.EXIT_INPUT
+        except (ConstellationSolveError, QuadratureError) as exc:
+            print(f"internal error: {cli._one_line(exc)}", file=sys.stderr)
+            return cli.EXIT_INTERNAL
+        except Exception as exc:
+            print(f"internal error: {type(exc).__name__}: {cli._one_line(exc)}",
+                  file=sys.stderr)
+            return cli.EXIT_INTERNAL
+    finally:
+        emit.validate_against_schema = saved

@@ -115,6 +115,20 @@ class TestConvert:
         assert out == ""
         assert err.startswith("error: phi = ") and "too small" in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize("source,value,phi", [
+        ("phi", "1e10", "10000000000.0"),
+        ("phi", "1e200", "1e+200"),
+        ("mu", "1e200", repr(PI * (2e200 + 1))),
+        ("bps", "1e10", repr(2 * PI * 1e10)),
+    ])
+    def test_huge_angle(self, capsys, tmp_path, source, value, phi):
+        # the message used to blame "lambda ... got -0.25" or "got nan"
+        path = tmp_path / "out.json"
+        code, out, err = run(capsys, "convert", "--from", source, value, "--json", str(path))
+        assert code == 2
+        assert out == "" and not path.exists()
+        assert err == f"error: phi = {phi} is too large: lambda(phi) rounds to -1/4\n"
+
     def test_infinite_lambda(self, capsys):
         code, out, err = run(capsys, "convert", "--from", "lambda", "inf")
         assert code == 2
@@ -286,6 +300,12 @@ class TestConstellation:
         assert doc["solutions"][0]["residuals"]["max"] < 1e-9
         text = obj.read_text()
         assert sum(1 for l in text.splitlines() if l.startswith("l ")) == 6
+
+    def test_huge_angle(self, capsys):
+        code, out, err = run(capsys, "constellation", "1e10", "1.3", "1.9")
+        assert code == 2
+        assert out == ""
+        assert err == "error: phi = 10000000000.0 is too large: lambda(phi) rounds to -1/4\n"
 
     def test_empty(self, capsys):
         code, out, _ = run(capsys, "constellation", "0.3", "0.3", "0.3")

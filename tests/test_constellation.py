@@ -5,17 +5,21 @@ import numpy as np
 import pytest
 
 import oracles
+from test_cross_kernel import REPLACED_FRAMES
+from trinoids import cli, constellation
 from trinoids.classify import Membership, tetrahedron_contains
 from trinoids.constellation import (
     Constellation,
     ConstellationReport,
     HelicoidFrame,
     ParallelBoundaryWarning,
+    constellation_to_json,
     lines_congruent,
     mirror_related,
     solve_constellations,
     verify_constellation,
 )
+from trinoids.emit import dump_json
 from trinoids.lines import OrientedLine, angle_between, line_distance, rotation_about, unit
 from trinoids.params import PitchConvention, ray_distance_h, reduced_angle
 
@@ -78,6 +82,35 @@ class TestSolve:
                     assert rep.max_residual < 1e-9
                 assert not lines_congruent(sols[0].lines(), sols[1].lines())
                 assert mirror_related(sols[0].lines(), sols[1].lines())
+
+    def test_self_check_is_the_report(self):
+        # the solver's own report, also where the frames were placed again
+        for phis in GENERIC_TRIPLES + REPLACED_FRAMES[:2]:
+            for sol in solve_constellations(*phis):
+                assert sol.self_check == verify_constellation(sol, phis)
+                assert (dump_json(constellation_to_json(sol, phis, sol.self_check))
+                        == dump_json(constellation_to_json(sol, phis)))
+        sol = solve_constellations(*RIGHT)[0]
+        built = Constellation(sol.l12, sol.l23, sol.l31, sol.f1, sol.f2, sol.f3, sol.convention)
+        assert built.self_check is None
+
+    def test_cli_checks_each_solution_once(self, tmp_path, monkeypatch, capsys):
+        calls = []
+        verify = constellation.verify_constellation
+
+        def counting(c, phis):
+            calls.append(phis)
+            return verify(c, phis)
+
+        monkeypatch.setattr(constellation, "verify_constellation", counting)
+        for phis, checks in [(("1.6", "1.6", "1.6"), 2), (("0.3", "0.3", "0.3"), 0)]:
+            calls.clear()
+            path = tmp_path / f"{phis[0]}.json"
+            code = cli.main(["constellation", *phis, "--json", str(path)])
+            out = capsys.readouterr().out
+            assert len(calls) == checks
+            assert path.read_text() == out
+            assert code == (0 if checks else 1)
 
     def test_solutions_not_congruent_to_own_mirror(self):
         sols = solve_constellations(1.6, 2.0, 2.2)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -58,6 +59,16 @@ class TestPhiLambda:
             for call in (convert, wrapper):
                 with pytest.raises(ValueError, match=f"^{name} must lie in .*got inf$"):
                     call(math.inf)
+        # above phi of about 4e8 lambda rounds to -1/4, above about 1e154 it is
+        # NaN: the message names phi, not the lambda it would have given
+        for huge in (4e8, 1e10, 1e200, 1.7e308):
+            with pytest.raises(ValueError, match=f"^phi = {re.escape(repr(huge))} is too large"):
+                lambda_of_phi(huge)
+        for convert, value in [(bryant_mu_to_lambda, 1e200), (bps_to_lambda, 1e10)]:
+            with pytest.raises(ValueError, match="^phi = .* is too large"):
+                convert(value)
+        phi = 3e8
+        assert lambda_of_phi(phi) == (PI - phi) * (PI + phi) / (4.0 * phi * phi) > -0.25
 
     def test_tiny_phi(self):
         # 4*phi^2 underflows to 0 below about 1e-162; that used to be a
