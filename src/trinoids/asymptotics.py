@@ -151,7 +151,7 @@ def check_slab(sample: EndSample) -> SlabReport:
     """Slab containment: third coordinate minus principal term is bounded.
 
     PASS iff the residual width over all samples is at most twice the
-    correction bound plus quadrature slack; the bound is on |2 C(z)|, which
+    correction bound plus integration slack; the bound is on |2 C(z)|, which
     is exactly the removed correction.  Also reports how far the boundary
     rays are from being horizontal (their third-coordinate spread).
     """
@@ -357,41 +357,47 @@ def helicoid_distances(frame: HelicoidFrame, pitch: float, points: np.ndarray):
 
     Per point, the squared distance to the ruling at model height y is
     minimized over y by Newton iterations seeded from the point's own
-    height (y0 = -Z/pitch) after a coarse scan of one screw period.
+    height (y0 = -Z/pitch) after a coarse scan of one screw period.  All
+    points run at once; a point stops at its first converged step.
     Returns (distances, converged flags).
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    local = (pts - frame.translation) @ frame.rotation
-    dists = np.empty(len(local))
-    flags = np.ones(len(local), dtype=bool)
-    for i, (X, Y, Z) in enumerate(local):
-        seed = -Z / pitch
+    X, Y, Z = ((pts - frame.translation) @ frame.rotation).T
 
-        def dist2(y):
-            # squared distance to the ruling at height -pitch*y; the
-            # perpendicular in-plane component is X cos y + Y sin y
-            # (cancellation-free form of X^2 + Y^2 - (X sin y - Y cos y)^2)
-            up = X * math.cos(y) + Y * math.sin(y)
-            return up * up + (Z + pitch * y) ** 2
+    def dist2(X, Y, Z, y):
+        # squared distance to the ruling at height -pitch*y; the
+        # perpendicular in-plane component is X cos y + Y sin y
+        # (cancellation-free form of X^2 + Y^2 - (X sin y - Y cos y)^2)
+        up = X * np.cos(y) + Y * np.sin(y)
+        t = Z + pitch * y
+        return up * up + t * t
 
-        ys = seed + np.linspace(-math.pi, math.pi, 49)
-        y = float(ys[int(np.argmin([dist2(v) for v in ys]))])
-        ok = False
+    ys = (-Z / pitch)[:, None] + np.linspace(-math.pi, math.pi, 49)
+    scan = dist2(X[:, None], Y[:, None], Z[:, None], ys)
+    y = ys[np.arange(len(ys)), np.argmin(scan, axis=1)]
+    flags = np.zeros(len(y), dtype=bool)
+    active = np.arange(len(y))
+    with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(40):
-            u = X * math.sin(y) - Y * math.cos(y)
-            du = X * math.cos(y) + Y * math.sin(y)
-            grad = -2.0 * u * du + 2.0 * pitch * (Z + pitch * y)
+            Xa, Ya, ya = X[active], Y[active], y[active]
+            u = Xa * np.sin(ya) - Ya * np.cos(ya)
+            du = Xa * np.cos(ya) + Ya * np.sin(ya)
+            grad = -2.0 * u * du + 2.0 * pitch * (Z[active] + pitch * ya)
             hess = -2.0 * (du * du - u * u) + 2.0 * pitch * pitch
-            if abs(grad) < 1e-14 * max(1.0, abs(hess)):
-                ok = True
+            scale = np.abs(hess)
+            done = np.abs(grad) < 1e-14 * np.where(scale > 1.0, scale, 1.0)
+            flags[active[done]] = True
+            moving = ~done
+            active, grad, hess = active[moving], grad[moving], hess[moving]
+            if not len(active):
                 break
-            step = grad / hess if hess > 1e-300 else math.copysign(0.1, grad)
-            step = max(min(step, 0.5), -0.5)
-            y -= step
-        d2 = dist2(y)
-        dists[i] = math.sqrt(max(d2, 0.0))
-        flags[i] = ok
-    return dists, flags
+            step = np.where(hess > 1e-300, grad / hess, np.copysign(0.1, grad))
+            # clamp to [-0.5, 0.5] as max(min(step, 0.5), -0.5) does, NaN kept
+            step = np.where(step > 0.5, 0.5, step)
+            step = np.where(step < -0.5, -0.5, step)
+            y[active] = ya[moving] - step
+    d2 = dist2(X, Y, Z, y)
+    return np.sqrt(np.where(d2 < 0.0, 0.0, d2)), flags
 
 
 @dataclass(frozen=True)
@@ -413,18 +419,17 @@ def decay_profile(sample: EndSample, fit: HelicoidFit) -> DecayProfile:
 
     PASS iff the profile strictly decreases with radius and ends below
     5 percent of its initial value, or the whole profile already sits below
-    CONTAINMENT_FLOOR (exact containment up to quadrature noise, where
+    CONTAINMENT_FLOOR (exact containment up to rounding noise, where
     relative decay is meaningless).
     """
     if fit.frame is None:
         raise ValueError("decay profile needs a successful helicoid fit")
     pitch = 2.0 * fit.frame.lam
+    dists, flags = helicoid_distances(fit.frame, pitch, np.concatenate(sample.arc_points))
+    ends = np.cumsum([len(arc) for arc in sample.arc_points])[:-1]
     sups = []
-    bad = 0
-    for arc in sample.arc_points:
-        d, flags = helicoid_distances(fit.frame, pitch, arc)
-        bad += int(np.sum(~flags))
-        good = d[flags] if np.any(flags) else d
+    for d, ok in zip(np.split(dists, ends), np.split(flags, ends)):
+        good = d[ok] if np.any(ok) else d
         sups.append(float(good.max()))
     sups_t = tuple(sups)
     below_floor = max(sups_t) < CONTAINMENT_FLOOR
@@ -433,7 +438,7 @@ def decay_profile(sample: EndSample, fit: HelicoidFit) -> DecayProfile:
     return DecayProfile(
         radii=sample.radii,
         sup_distance=sups_t,
-        nonconverged=bad,
+        nonconverged=int(np.sum(~flags)),
         passed=below_floor or (decreasing and reduced_enough),
     )
 

@@ -124,12 +124,21 @@ def lambda_of_phi(phi) -> float:
     """
     phi = _unwrap(phi, Angle)
     _check_phi(phi)
+    return _lambda_of_angle(phi, "phi", phi)
+
+
+def _lambda_of_angle(phi: float, name: str, value: float) -> float:
+    """lambda_of_phi of the end angle that the parameter ``name`` = ``value``
+    gives; a result out of range names that parameter, not the angle."""
+    if not phi < math.inf or phi == math.pi:
+        raise ValueError(f"{name} = {value} gives the end angle {phi}, "
+                         "outside (0, inf) \\ {pi}")
     denom = 4.0 * phi * phi
     if denom == 0.0:
-        raise ValueError(f"phi = {phi} is too small: lambda(phi) overflows")
+        raise ValueError(f"{name} = {value} is too small: lambda({name}) overflows")
     lam = (math.pi - phi) * (math.pi + phi) / denom
     if not lam > -0.25:
-        raise ValueError(f"phi = {phi} is too large: lambda(phi) rounds to -1/4")
+        raise ValueError(f"{name} = {value} is too large: lambda({name}) rounds to -1/4")
     return lam
 
 
@@ -171,7 +180,7 @@ def bryant_mu_to_lambda(mu) -> float:
     """lambda for Bryant's parameter mu: inverse end angle of pi*(2*mu + 1)."""
     mu = _unwrap(mu, BryantParameter)
     _check_mu(mu)
-    return lambda_of_phi(math.pi * (2.0 * mu + 1.0))
+    return _lambda_of_angle(math.pi * (2.0 * mu + 1.0), "mu", mu)
 
 
 def lambda_to_bryant_mu(lam) -> float:
@@ -190,7 +199,7 @@ def bps_to_lambda(bps) -> float:
     """lambda for Bobenko's parameter: inverse end angle of 2*pi*lambda_bps."""
     bps = _unwrap(bps, BpsParameter)
     _check_bps(bps)
-    return lambda_of_phi(TWO_PI * bps)
+    return _lambda_of_angle(TWO_PI * bps, "lambda_bps", bps)
 
 
 def lambda_to_bps(lam) -> float:

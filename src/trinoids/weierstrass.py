@@ -16,30 +16,37 @@ Two catalog data kinds are supported:
   the compatibility constraint g0 * w0 = (1 - alpha^2)/(4 alpha).
 
 Powers z^alpha use the principal branch with the cut along the negative
-imaginary axis (arg in [-pi/2, 3*pi/2)), so D is cut-free.  Integration is
-adaptive quadrature along explicit paths; z^{-1} monomials are split off
-and integrated as logarithms, everything else is quadratured.
+imaginary axis (arg in [-pi/2, 3*pi/2)), so D is cut-free.  Every path
+integral is F(target) - F(z0) with F a closed-form antiderivative on that
+branch: z^p integrates to z^{p+1}/(p+1), z^{-1} to the branch logarithm,
+and the exponential data to hyperbolic functions.  Paths only decide
+which integrals are valid.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-import warnings
+import sys
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Sequence, Tuple, Union
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
+from scipy.integrate import quad  # noqa: F401  unused; bench/ wraps it (ROADMAP item 1)
 
 from .params import _check_lambda
 
 _I_POWERS = (1 + 0j, 1j, -1 + 0j, -1j)
+# below this |p + 1| a monomial integrates as expm1((p+1) log z)/(p+1), which
+# tends to log z instead of growing like 1/(p+1) as p + 1 -> 0
+_EXPM1_BELOW = 0.5
+_EPS = sys.float_info.epsilon
 
 
 class QuadratureError(RuntimeError):
-    """Adaptive quadrature failed to reach the requested tolerance."""
+    """A path integral cannot meet the requested tolerance: the rounding
+    budget of its closed form, ``achieved``, exceeds it."""
 
     def __init__(self, message: str, achieved: float):
         super().__init__(f"{message} (achieved error estimate {achieved:.3e})")
@@ -192,30 +199,6 @@ def _in_upper_half_disk(z: complex) -> bool:
     return 0 < abs(z) <= 1.0 + 1e-12 and z.imag >= -1e-15
 
 
-def _segments(path: IntegrationPath) -> List[tuple]:
-    """Decompose a path into ("line", a, b) and ("arc", rho, th0, th1) parts."""
-    z0, z1 = complex(path.z0), complex(path.target)
-    if path.route is Route.STRAIGHT:
-        return [("line", z0, z1)] if z1 != z0 else []
-    r0, r1 = abs(z0), abs(z1)
-    th0 = branch_arg(z0) if r0 > 0 else 0.0
-    th1 = branch_arg(z1)
-    segs: List[tuple] = []
-    if path.route is Route.RADIAL_THEN_ARC:
-        mid = r1 * cmath.exp(1j * th0)
-        if abs(mid - z0) > 0:
-            segs.append(("line", z0, mid))
-        if th1 != th0 and r1 > 0:
-            segs.append(("arc", r1, th0, th1))
-    else:
-        if th1 != th0 and r0 > 0:
-            segs.append(("arc", r0, th0, th1))
-        end_of_arc = r0 * cmath.exp(1j * th1)
-        if abs(z1 - end_of_arc) > 0:
-            segs.append(("line", end_of_arc, z1))
-    return segs
-
-
 def _validate_path(data: WeierstrassData, path: IntegrationPath) -> None:
     z0, z1 = complex(path.z0), complex(path.target)
     if isinstance(data, PowerEndData):
@@ -253,112 +236,99 @@ def _monomial_components(data: PowerEndData) -> List[List[Tuple[complex, float]]
     return [comp1, comp2, comp3]
 
 
-def _split_log(monomials: Sequence[Tuple[complex, float]]):
-    """Separate z^{-1} terms (integrated as log) from the quadrature rest."""
-    log_coef = 0.0 + 0.0j
-    rest: List[Tuple[complex, float]] = []
-    for coef, power in monomials:
-        if abs(power + 1.0) <= 1e-12:
-            log_coef += coef
-        elif coef != 0:
-            rest.append((coef, power))
-    return log_coef, rest
+def _power_terms(data: PowerEndData):
+    """Log coefficients and [(q, [(component, coef / q), ...]), ...] of the
+    three components: coef z^p integrates to coef z^q / q with q = p + 1,
+    and p = -1 to coef log z.  Monomials with equal q are merged."""
+    log_coefs = [0j, 0j, 0j]
+    by_q: Dict[float, Dict[int, complex]] = {}
+    for i, monomials in enumerate(_monomial_components(data)):
+        for coef, power in monomials:
+            if abs(power + 1.0) <= 1e-12:
+                log_coefs[i] += coef
+            elif coef != 0:
+                terms = by_q.setdefault(power + 1.0, {})
+                terms[i] = terms.get(i, 0j) + coef
+    return log_coefs, [
+        (q, [(i, coef / q) for i, coef in terms.items()]) for q, terms in by_q.items()
+    ]
 
 
-def _quad_segment(f, seg, epsabs: float) -> Tuple[complex, float]:
-    """Integrate f(z) dz over one segment; returns (value, error estimate)."""
-    if seg[0] == "line":
-        _, a, b = seg
-        dz = b - a
-
-        def integrand(t: float) -> complex:
-            return f(a + dz * t) * dz
-
-    else:
-        _, rho, th0, th1 = seg
-        dth = th1 - th0
-
-        def integrand(t: float) -> complex:
-            z = rho * cmath.exp(1j * (th0 + dth * t))
-            return f(z) * 1j * dth * z
-
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", IntegrationWarning)
-        value, err = quad(integrand, 0.0, 1.0, complex_func=True,
-                          epsabs=epsabs, epsrel=1e-12, limit=200)
-    err_total = float(abs(err))
-    if any(issubclass(w.category, IntegrationWarning) for w in caught) and err_total > 10 * epsabs:
-        raise QuadratureError("quadrature did not converge on a path segment", err_total)
-    return value, err_total
+def _expm1(w: complex) -> complex:
+    """exp(w) - 1 without cancellation near w = 0 (cmath has no expm1)."""
+    em1 = math.expm1(w.real)
+    half_sin = math.sin(0.5 * w.imag)
+    return complex(em1 * math.cos(w.imag) - 2.0 * half_sin * half_sin,
+                   math.exp(w.real) * math.sin(w.imag))
 
 
-def _integrand_callables(data: WeierstrassData):
-    """Per-component (callable, log_coef) pairs for quadrature."""
+def _antiderivative(data: WeierstrassData) -> Callable[[complex], Tuple[list, list]]:
+    """z -> (F(z), sizes): the antiderivatives of the three components and,
+    per component, the sum of the magnitudes of the terms summed into it."""
     if isinstance(data, ExponentialData):
-        c = data.omega_factor * data.lam
+        c = 2.0 * data.omega_factor * data.lam
 
-        def f1(z: complex) -> complex:
-            return c * (cmath.exp(-z) - cmath.exp(z))
+        def exponential(z: complex) -> Tuple[list, list]:
+            values = [-c * cmath.cosh(z), 1j * c * cmath.sinh(z), c * z]
+            return values, [abs(v) for v in values]
 
-        def f2(z: complex) -> complex:
-            return 1j * c * (cmath.exp(-z) + cmath.exp(z))
+        return exponential
 
-        def f3(z: complex) -> complex:
-            return 2.0 * c
+    log_coefs, powers = _power_terms(data)
 
-        return [(f1, 0j), (f2, 0j), (f3, 0j)]
+    def power_end(z: complex) -> Tuple[list, list]:
+        log_z = branch_log(z)
+        values = [lc * log_z for lc in log_coefs]
+        sizes = [abs(v) for v in values]
+        for q, terms in powers:
+            w = _expm1(q * log_z) if abs(q) < _EXPM1_BELOW else cmath.exp(q * log_z)
+            for i, coef in terms:
+                t = coef * w
+                values[i] += t
+                sizes[i] += abs(t)
+        return values, sizes
 
-    out = []
-    for monomials in _monomial_components(data):
-        log_coef, rest = _split_log(monomials)
-
-        def f(z: complex, rest=rest) -> complex:
-            if z == 0:
-                return sum(coef * branch_power(z, power) for coef, power in rest)
-            # the branch log of branch_power, taken once for every monomial
-            log_z = math.log(abs(z)) + 1j * branch_arg(z)
-            return sum(coef * cmath.exp(power * log_z) for coef, power in rest)
-
-        out.append((f, log_coef))
-    return out
+    return power_end
 
 
 def integrate_many(
     data: WeierstrassData, paths: Sequence[IntegrationPath], tol: float = 1e-10
 ) -> List[np.ndarray]:
-    """Immersion displacements Re of the three path integrals, one per path.
+    """Immersion displacements Re(F(target) - F(z0)), one per path.
 
-    Each component carries absolute quadrature error at most ~tol; z^{-1}
-    monomials of PowerEndData are integrated exactly as branch logarithms.
-    Paths are integrated in order, and each path gives the same bits as on
-    its own: a segment integral that several paths share (same component,
-    segment and per-segment tolerance) is computed once per call and reused.
-    Raises QuadratureError (with the achieved estimate) on non-convergence
-    and ValueError for paths leaving the domain or crossing the puncture.
+    F is the closed-form antiderivative of the three integrands on the
+    branch of branch_arg, evaluated once per distinct endpoint in a call.
+    Each component's rounding budget, eps times the summed magnitudes of
+    its terms at both endpoints, must not exceed tol; otherwise (and when F
+    overflows) QuadratureError carries the budget.  ValueError for a tol
+    outside (0, inf) and for paths leaving the domain or crossing the
+    puncture.
     """
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must lie in (0, inf), got {tol}")
-    comps = _integrand_callables(data)
-    has_log = any(lc != 0 for _, lc in comps)
-    memo: Dict[Tuple[int, str, float], complex] = {}
+    antiderivative = _antiderivative(data)
+    # keyed by value: z = x + 0j and x - 0j share F, which is continuous there
+    cache: Dict[complex, Tuple[list, list]] = {}
+
+    def at(z: complex) -> Tuple[list, list]:
+        if z not in cache:
+            try:
+                cache[z] = antiderivative(z)
+            except OverflowError:
+                raise QuadratureError(
+                    f"closed-form integral overflows at z = {z}", math.inf
+                ) from None
+        return cache[z]
+
     results = []
     for path in paths:
         _validate_path(data, path)
-        segs = _segments(path)
-        dlog = branch_log(complex(path.target)) - branch_log(complex(path.z0)) if has_log else 0j
-        out = np.zeros(3)
-        eps_seg = tol / max(len(segs), 1)
-        # repr is exact for floats and keeps the sign of zero apart
-        seg_keys = [repr(seg) for seg in segs]
-        for i, (f, log_coef) in enumerate(comps):
-            total = log_coef * dlog
-            for seg, seg_key in zip(segs, seg_keys):
-                key = (i, seg_key, eps_seg)
-                if key not in memo:
-                    memo[key] = _quad_segment(f, seg, eps_seg)[0]
-                total += memo[key]
-            out[i] = total.real
-        results.append(out)
+        (f0, s0), (f1, s1) = at(complex(path.z0)), at(complex(path.target))
+        budget = _EPS * max(s0[0] + s1[0], s0[1] + s1[1], s0[2] + s1[2])
+        if not budget <= tol:
+            raise QuadratureError(f"rounding budget exceeds tol = {tol:.3e}", budget)
+        results.append(np.array([(f1[0] - f0[0]).real, (f1[1] - f0[1]).real,
+                                 (f1[2] - f0[2]).real]))
     return results
 
 

@@ -1,15 +1,17 @@
 """Independent oracles shared by the test modules.
 
 These deliberately avoid the code paths they check: displacement oracles
-evaluate closed-form antiderivatives at the endpoints instead of walking a
-quadrature path, the direction oracle is a dense grid search on the
+take one branch power per monomial and numpy's cosh and sinh, unmerged and
+with no expm1 form, the direction oracle is a dense grid search on the
 sphere instead of a triangle solve, the emitter oracles format one float
 at a time instead of a whole array at once, the classification oracles
 write out each slack formula and membership rule separately, and the
-end-sampling oracles integrate every path on its own, one monomial power
-at a time, the correction integral by quadrature, the constellation
-oracles take every cross product with np.cross, and the command-line
-oracle builds its parser and checks each schema anew on every call.
+end-sampling oracles integrate every path on its own by adaptive
+quadrature, one monomial power at a time, the correction integral by
+quadrature, the helicoid distance oracle loops over points one at a time,
+the constellation oracles take every cross product with np.cross, and the
+command-line oracle builds its parser and checks each schema anew on every
+call.
 """
 
 import cmath
@@ -20,6 +22,7 @@ from dataclasses import fields
 
 import jsonschema
 import numpy as np
+from scipy.integrate import IntegrationWarning, quad
 
 from trinoids import cli, emit, params
 from trinoids.classify import Membership, TripleTag
@@ -45,10 +48,8 @@ from trinoids.weierstrass import (
     conjugate_data,
     correction_coefficients,
     _monomial_components,
-    _quad_segment,
-    _segments,
-    _split_log,
     _validate_path,
+    branch_arg,
 )
 
 
@@ -383,10 +384,74 @@ def classify_doc(phis, eps_face: float) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Original end-sampling engine: every path integrated on its own, and the
-# PowerEnd integrand taking one branch power per monomial.
-# trinoids.weierstrass.integrate_many integrates segments that paths share
-# once per call and must return exactly the same bits.
+# Quadrature engine: every path split into radial and arc segments, each
+# integrated by scipy's adaptive quad, with the PowerEnd integrand taking one
+# branch power per monomial and z^{-1} terms integrated as logarithms.
+# trinoids.weierstrass.integrate_many evaluates closed-form antiderivatives
+# at the endpoints instead and must agree to within the tolerance.
+
+
+def _segments(path):
+    """Decompose a path into ("line", a, b) and ("arc", rho, th0, th1) parts."""
+    z0, z1 = complex(path.z0), complex(path.target)
+    if path.route is Route.STRAIGHT:
+        return [("line", z0, z1)] if z1 != z0 else []
+    r0, r1 = abs(z0), abs(z1)
+    th0 = branch_arg(z0) if r0 > 0 else 0.0
+    th1 = branch_arg(z1)
+    segs = []
+    if path.route is Route.RADIAL_THEN_ARC:
+        mid = r1 * cmath.exp(1j * th0)
+        if abs(mid - z0) > 0:
+            segs.append(("line", z0, mid))
+        if th1 != th0 and r1 > 0:
+            segs.append(("arc", r1, th0, th1))
+    else:
+        if th1 != th0 and r0 > 0:
+            segs.append(("arc", r0, th0, th1))
+        end_of_arc = r0 * cmath.exp(1j * th1)
+        if abs(z1 - end_of_arc) > 0:
+            segs.append(("line", end_of_arc, z1))
+    return segs
+
+
+def _split_log(monomials):
+    """Separate z^{-1} terms (integrated as log) from the quadrature rest."""
+    log_coef = 0.0 + 0.0j
+    rest = []
+    for coef, power in monomials:
+        if abs(power + 1.0) <= 1e-12:
+            log_coef += coef
+        elif coef != 0:
+            rest.append((coef, power))
+    return log_coef, rest
+
+
+def _quad_segment(f, seg, epsabs: float):
+    """Integrate f(z) dz over one segment; returns (value, error estimate)."""
+    if seg[0] == "line":
+        _, a, b = seg
+        dz = b - a
+
+        def integrand(t: float) -> complex:
+            return f(a + dz * t) * dz
+
+    else:
+        _, rho, th0, th1 = seg
+        dth = th1 - th0
+
+        def integrand(t: float) -> complex:
+            z = rho * cmath.exp(1j * (th0 + dth * t))
+            return f(z) * 1j * dth * z
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", IntegrationWarning)
+        value, err = quad(integrand, 0.0, 1.0, complex_func=True,
+                          epsabs=epsabs, epsrel=1e-12, limit=200)
+    err_total = float(abs(err))
+    if any(issubclass(w.category, IntegrationWarning) for w in caught) and err_total > 10 * epsabs:
+        raise QuadratureError("quadrature did not converge on a path segment", err_total)
+    return value, err_total
 
 
 def integrand_callables(data):
@@ -417,6 +482,8 @@ def integrand_callables(data):
 
 
 def integrate(data, path, tol: float = 1e-10) -> np.ndarray:
+    """Re of the three path integrals by quadrature; each component to
+    about tol absolute, or 1e-12 relative where the integral is large."""
     if not tol > 0:
         raise ValueError("tol must be positive")
     _validate_path(data, path)
@@ -440,7 +507,8 @@ def integrate(data, path, tol: float = 1e-10) -> np.ndarray:
 
 def sample_conjugate_end(data, radii, samples_per_arc=33, boundary_samples=16,
                          tol=1e-10):
-    """The original sampler, for symmetric data and valid radii."""
+    """The end sampler on the quadrature engine, for symmetric data and
+    valid radii."""
     from trinoids.asymptotics import EndSample
 
     radii = tuple(float(r) for r in radii)
@@ -487,6 +555,43 @@ def correction_integral_quadrature(data: PowerEndData, z: complex, tol: float = 
         value, _ = _quad_segment(f, seg, tol / max(len(segs), 1))
         total += value
     return total
+
+
+def helicoid_distances(frame, pitch: float, points):
+    """The scalar helicoid_distances: one point at a time, a 49-value scan
+    and then up to 40 Newton steps.  The squared height term is t*t, where
+    the original took (Z + pitch*y)**2: on a numpy float64 that calls libm
+    pow, which is not always t*t."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    local = (pts - frame.translation) @ frame.rotation
+    dists = np.empty(len(local))
+    flags = np.ones(len(local), dtype=bool)
+    for i, (X, Y, Z) in enumerate(local):
+        seed = -Z / pitch
+
+        def dist2(y):
+            up = X * math.cos(y) + Y * math.sin(y)
+            t = Z + pitch * y
+            return up * up + t * t
+
+        ys = seed + np.linspace(-math.pi, math.pi, 49)
+        y = float(ys[int(np.argmin([dist2(v) for v in ys]))])
+        ok = False
+        for _ in range(40):
+            u = X * math.sin(y) - Y * math.cos(y)
+            du = X * math.cos(y) + Y * math.sin(y)
+            grad = -2.0 * u * du + 2.0 * pitch * (Z + pitch * y)
+            hess = -2.0 * (du * du - u * u) + 2.0 * pitch * pitch
+            if abs(grad) < 1e-14 * max(1.0, abs(hess)):
+                ok = True
+                break
+            step = grad / hess if hess > 1e-300 else math.copysign(0.1, grad)
+            step = max(min(step, 0.5), -0.5)
+            y -= step
+        d2 = dist2(y)
+        dists[i] = math.sqrt(max(d2, 0.0))
+        flags[i] = ok
+    return dists, flags
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from trinoids import weierstrass as W
 from trinoids.asymptotics import (
     check_slab,
@@ -214,3 +215,43 @@ class TestFullPipeline:
                             samples_per_arc=9, boundary_samples=10)
         doc = verification_to_json(report)
         validate_against_schema(doc, "verify_end.schema.json")
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+class TestDistancesSameAsScalar:
+    """helicoid_distances runs all points as arrays; the scalar loop of
+    tests/oracles.py must give the same distance bits and flags."""
+
+    def test_decay_arcs_and_hard_points(self):
+        rng = np.random.default_rng(29)
+        total = nonconverged = 0
+        for alpha in (0.2, 2 / 3, 0.9, 2.5):
+            for pe in (W.power_end_data(alpha), perturbed_data(rng, alpha)):
+                sample = sample_conjugate_end(pe, radii=SHORT_RADII, samples_per_arc=9)
+                rays = fit_rays(sample)
+                for lam in (sample.lam, 0.7 * sample.lam, 1.3 * sample.lam, -0.2, 3.0):
+                    fit = fit_helicoid(rays, lam)
+                    if fit.frame is None:
+                        continue
+                    frame = fit.frame
+                    near_axis = frame.translation + rng.normal(size=(20, 3)) * 1e-9
+                    far = rng.normal(size=(20, 3)) * 50.0
+                    for pts in (np.concatenate(sample.arc_points), near_axis, far):
+                        got = helicoid_distances(frame, 2 * lam, pts)
+                        want = oracles.helicoid_distances(frame, 2 * lam, pts)
+                        assert np.array_equal(_bits(got[0]), _bits(want[0]))
+                        assert np.array_equal(got[1], want[1])
+                        total += len(pts)
+                        nonconverged += int(np.sum(~want[1]))
+        assert total > 3000 and nonconverged > 50
+
+    def test_empty_and_single(self):
+        frame = HelicoidFrame(0.5, np.eye(3), np.zeros(3))
+        d, flags = helicoid_distances(frame, 1.0, np.zeros((0, 3)))
+        assert d.shape == flags.shape == (0,)
+        d, flags = helicoid_distances(frame, 1.0, [0.3, -0.2, 0.7])
+        want = oracles.helicoid_distances(frame, 1.0, [0.3, -0.2, 0.7])
+        assert np.array_equal(_bits(d), _bits(want[0])) and np.array_equal(flags, want[1])

@@ -86,6 +86,9 @@ class TestClassify:
         assert not out_json.exists()
 
 
+PARAMETER_NAMES = {"phi": "phi", "mu": "mu", "bps": "lambda_bps"}
+
+
 class TestConvert:
     def test_from_lambda(self, capsys):
         code, out, _ = run(capsys, "convert", "--from", "lambda", "0.75")
@@ -110,10 +113,12 @@ class TestConvert:
 
     @pytest.mark.parametrize("source,value", [("phi", "1e-200"), ("bps", "3.2754355451562094e-240")])
     def test_tiny_angle(self, capsys, source, value):
+        # the message names the parameter the user passed, not the angle
         code, out, err = run(capsys, "convert", "--from", source, value)
         assert code == 2
         assert out == ""
-        assert err.startswith("error: phi = ") and "too small" in err and err.count("\n") == 1
+        name = PARAMETER_NAMES[source]
+        assert err == f"error: {name} = {float(value)} is too small: lambda({name}) overflows\n"
 
     @pytest.mark.parametrize("source,value,phi", [
         ("phi", "1e10", "10000000000.0"),
@@ -122,12 +127,23 @@ class TestConvert:
         ("bps", "1e10", repr(2 * PI * 1e10)),
     ])
     def test_huge_angle(self, capsys, tmp_path, source, value, phi):
-        # the message used to blame "lambda ... got -0.25" or "got nan"
+        # the message used to blame "lambda ... got -0.25" or "got nan", and
+        # then the computed angle phi for mu and bps
         path = tmp_path / "out.json"
         code, out, err = run(capsys, "convert", "--from", source, value, "--json", str(path))
         assert code == 2
         assert out == "" and not path.exists()
-        assert err == f"error: phi = {phi} is too large: lambda(phi) rounds to -1/4\n"
+        name = PARAMETER_NAMES[source]
+        assert err == f"error: {name} = {float(value)} is too large: lambda({name}) rounds to -1/4\n"
+        assert source == "phi" or phi not in err
+
+    @pytest.mark.parametrize("value,phi", [("1e308", "inf"), ("1e-20", repr(PI))])
+    def test_mu_angle_out_of_range(self, capsys, value, phi):
+        # 2*mu + 1 overflows, or rounds to 1 so that the angle is pi
+        code, out, err = run(capsys, "convert", "--from", "mu", value)
+        assert code == 2 and out == ""
+        assert err == (f"error: mu = {float(value)} gives the end angle {phi}, "
+                       "outside (0, inf) \\ {pi}\n")
 
     def test_infinite_lambda(self, capsys):
         code, out, err = run(capsys, "convert", "--from", "lambda", "inf")
@@ -397,6 +413,22 @@ class TestVerifyEnd:
         doc = json.loads(out)
         assert "helicoid-fit" in doc["failed"]
         assert doc["helicoid_fit"]["pass"] is False
+
+    def test_tol_below_rounding_budget(self, capsys, tmp_path):
+        # the closed-form integrals cannot meet 1e-300: an input error
+        path = self.make_data_file(tmp_path)
+        out_json, out_csv = tmp_path / "out.json", tmp_path / "out.csv"
+        code, out, err = run(capsys, "verify-end", str(path), "--tol", "1e-300",
+                             "--json", str(out_json), "--csv", str(out_csv))
+        assert code == 2
+        assert out == "" and not out_json.exists() and not out_csv.exists()
+        assert err.startswith("error: --tol 1e-300 is below the rounding budget ")
+        assert err.endswith(" of the integrals for these data and radii\n")
+        assert err.count("\n") == 1
+        # a tight tol that the budget meets still passes
+        code, _, err = run(capsys, "verify-end", str(path), "--tol", "1e-14",
+                           "--min-radius-exp", "5")
+        assert code == 0 and err == ""
 
     @pytest.mark.parametrize("flag,value", [
         ("--fit-lambda", "0"),

@@ -64,9 +64,16 @@ class TestPhiLambda:
         for huge in (4e8, 1e10, 1e200, 1.7e308):
             with pytest.raises(ValueError, match=f"^phi = {re.escape(repr(huge))} is too large"):
                 lambda_of_phi(huge)
-        for convert, value in [(bryant_mu_to_lambda, 1e200), (bps_to_lambda, 1e10)]:
-            with pytest.raises(ValueError, match="^phi = .* is too large"):
+        # mu and lambda_bps name themselves, not the angle they give
+        for convert, name, value in [(bryant_mu_to_lambda, "mu", 1e200),
+                                     (bps_to_lambda, "lambda_bps", 1e10)]:
+            with pytest.raises(ValueError, match=f"^{name} = {re.escape(repr(value))} is too large"):
                 convert(value)
+        with pytest.raises(ValueError, match="^lambda_bps = 3e-240 is too small"):
+            bps_to_lambda(3e-240)
+        for mu in (1e308, 1e-20):
+            with pytest.raises(ValueError, match=f"^mu = {re.escape(repr(mu))} gives the end angle"):
+                bryant_mu_to_lambda(mu)
         phi = 3e8
         assert lambda_of_phi(phi) == (PI - phi) * (PI + phi) / (4.0 * phi * phi) > -0.25
 
