@@ -10,9 +10,9 @@ alpha and end parameter lambda = (1 - alpha^2)/(4 alpha^2):
 3. fit_rays            -- least-squares lines through the boundary samples;
    for symmetric data both are horizontal, the oriented angle between them
    is r(pi*alpha) and their vertical gap is (1-alpha^2)*pi/(2*alpha);
-4. fit_helicoid        -- closed-form rigid placement of the standard
-   helicoid (vertical drop 2*lambda per radian) carrying both rays as
-   rulings, with an optional least-squares polish;
+4. fit_helicoid        -- rigid placement of the standard helicoid
+   (vertical drop 2*lambda per radian) carrying both rays as rulings, in
+   closed form: the common perpendicular of the rays is the helicoid axis;
 5. decay_profile       -- sup distance of each sampled arc to the placed
    helicoid; the end is accepted as asymptotic when the profile decays
    over dyadic radii.
@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .constellation import HelicoidFrame
 from .lines import (
@@ -256,8 +255,10 @@ def fit_helicoid(rays: RayFit, lam: float) -> HelicoidFit:
     Uses the standard vertical drop 2*lambda per radian.  The closed form
     reads the screw rotation angle off the measured foot offset and checks
     it against the measured direction angle modulo 2*pi; an inconsistent
-    pair (wrong lambda) yields a failure report.  A short least-squares
-    polish runs when the closed-form residual is above round-off.
+    pair (wrong lambda) yields a failure report.  The frame sits at the
+    foot on ray_pos of the common perpendicular of the rays, which is the
+    helicoid axis for two rulings; the residual is that of this placement,
+    with no numerical refinement.
 
     Parallel rays (angle a multiple of pi) carry no twist information; only
     the lower distance bound 2*|lambda|*pi for distinct parallel rulings is
@@ -304,8 +305,6 @@ def fit_helicoid(rays: RayFit, lam: float) -> HelicoidFit:
         )
         if res < residual:
             frame, residual = cand, res
-    if residual > 1e-10:
-        frame, residual = _polish_frame(frame, pitch, (rays.ray_pos, rays.ray_neg), residual)
     ok = residual < FIT_RESIDUAL_TOL
     msg = "" if ok else (
         f"no consistent placement: residual {residual:.3e}, "
@@ -316,40 +315,6 @@ def fit_helicoid(rays: RayFit, lam: float) -> HelicoidFit:
 
 def _wrap_to_pi(x: float) -> float:
     return (x + math.pi) % (2.0 * math.pi) - math.pi
-
-
-def _polish_frame(frame: HelicoidFrame, pitch: float, rays, initial: float):
-    """Least-squares refinement of the frame over rotation vector + shift.
-
-    Residuals are point-to-surface distances of a few samples on each ray,
-    so the count exceeds the six pose parameters.
-    """
-    from .lines import rotation_about
-
-    ts = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
-
-    def apply(params: np.ndarray) -> HelicoidFrame:
-        rotvec, shift = params[:3], params[3:]
-        angle = float(np.linalg.norm(rotvec))
-        R = frame.rotation if angle < 1e-300 else rotation_about(rotvec, angle) @ frame.rotation
-        return HelicoidFrame(frame.lam, R, frame.translation + shift)
-
-    def residuals(params: np.ndarray) -> np.ndarray:
-        f = apply(params)
-        out = []
-        for ray in rays:
-            d, _ = helicoid_distances(f, pitch, ray.at(ts))
-            out.extend(d)
-        return np.array(out)
-
-    result = least_squares(residuals, np.zeros(6), method="lm", max_nfev=60)
-    polished = apply(result.x)
-    final = max(
-        ruling_residual(polished.rotation, polished.translation, pitch, ray) for ray in rays
-    )
-    if final < initial:
-        return polished, float(final)
-    return frame, initial
 
 
 def helicoid_distances(frame: HelicoidFrame, pitch: float, points: np.ndarray):

@@ -31,6 +31,7 @@ import numpy as np
 
 from .classify import TripleTag, classify_triple
 from .lines import (
+    PARALLEL_TOL,
     OrientedLine,
     angle_between,
     common_perpendicular_feet,
@@ -80,7 +81,8 @@ class HelicoidFrame:
         T = np.asarray(self.translation, dtype=float)
         if R.shape != (3, 3) or T.shape != (3,):
             raise ValueError("rotation must be 3x3 and translation a 3-vector")
-        if np.max(np.abs(R.T @ R - np.eye(3))) > 1e-12 or abs(np.linalg.det(R) - 1.0) > 1e-12:
+        det = float(cross(R[:, 0], R[:, 1]) @ R[:, 2])
+        if np.max(np.abs(R.T @ R - np.eye(3))) > 1e-12 or abs(det - 1.0) > 1e-12:
             raise ValueError("rotation must be special orthogonal within 1e-12")
         object.__setattr__(self, "rotation", R)
         object.__setattr__(self, "translation", T)
@@ -165,7 +167,11 @@ def solve_constellations(
     Returns two constellations for a generically admissible triple, an empty
     list otherwise (with a ParallelBoundaryWarning in the boundary case).
     Gauge: l12 runs through the pair-1 perpendicular foot at the origin with
-    direction (1, 0, 0) and l31's direction lies in the xy-plane.
+    direction (1, 0, 0) and l31's direction lies in the xy-plane.  Each
+    frame is placed in closed form: the common perpendicular of its two
+    lines is the helicoid axis, and the frame sits at its foot on the
+    carried line (lines.common_perpendicular_feet, or _textbook_foot where
+    that placement fails the self-check).
 
     Raises ConstellationSolveError if a solution fails its own residual
     checks at residual_tol (never returned silently); each returned solution
@@ -206,13 +212,14 @@ def solve_constellations(
         sol = _assemble(phis, lams, u12, u23, u31, convention)
         report = verify_constellation(sol, phis)
         if not report.ok(residual_tol):
-            # a nearly antiparallel pair whose perpendicular foot lies far
-            # out (see _foot_by_cross); rare, except within 1e-9 of a face
-            replaced = _frames_at_cross_feet(sol, phis)
+            # near a face the feet can lie 1e7 out, where one ulp (1.9e-9)
+            # exceeds the absolute tolerance: see _textbook_foot
+            replaced = _frames_at_textbook_feet(sol, phis)
             replaced_report = verify_constellation(replaced, phis)
             if not replaced_report.ok(residual_tol):
                 raise ConstellationSolveError(
-                    f"solution failed self-check: max residual {report.max_residual:.3e}"
+                    "solution failed self-check: max residual "
+                    f"{replaced_report.max_residual:.3e}"
                 )
             sol, report = replaced, replaced_report
         solutions.append(replace(sol, self_check=report))
@@ -249,23 +256,28 @@ def _assemble(phis, lams, u12, u23, u31, convention) -> Constellation:
     return Constellation(l12, l23, l31, f1, f2, f3, convention)
 
 
-def _foot_by_cross(a: OrientedLine, b: OrientedLine) -> np.ndarray:
-    """Foot on a of the common perpendicular of two non-parallel lines.
+def _textbook_foot(a: OrientedLine, b: OrientedLine) -> np.ndarray:
+    """Foot on a of the common perpendicular, over 1 - (u_a . u_b)^2.
 
-    common_perpendicular_feet divides by 1 - (u_a . u_b)^2, which loses
-    its leading digits when the lines are nearly parallel or antiparallel;
-    this divides by |u_a x u_b|^2, which keeps them.  The solver uses it only
-    to re-place the frames of a solution that failed its self-check, so that
-    every solution the first placement gives keeps its bits.
+    lines.common_perpendicular_feet is the accurate form.  Near a face,
+    though, feet lie up to 1e7 out, where one ulp exceeds the absolute
+    self-check tolerance, and the two forms round a foot to different
+    doubles: a few solvable triples pass the check only at this foot.  The
+    solver places the frames here when the first placement fails, until the
+    tolerance scales with the coordinates.
     """
-    n = cross(a.direction, b.direction)
     d = b.point - a.point
-    return a.point + (float(cross(d, b.direction) @ n) / float(n @ n)) * a.direction
+    c = float(a.direction @ b.direction)
+    denom = 1.0 - c * c
+    if denom < PARALLEL_TOL**2:
+        raise ValueError("lines are (nearly) parallel; no unique common perpendicular")
+    ta = (float(d @ a.direction) - c * float(d @ b.direction)) / denom
+    return a.point + ta * a.direction
 
 
-def _frames_at_cross_feet(c: Constellation, phis) -> Constellation:
-    """The same lines, every frame placed at the foot from _foot_by_cross."""
-    frames = [_pair_frame(a, b, f.lam, phis[i], _foot_by_cross(a, b))
+def _frames_at_textbook_feet(c: Constellation, phis) -> Constellation:
+    """The same lines, every frame placed at the foot from _textbook_foot."""
+    frames = [_pair_frame(a, b, f.lam, phis[i], _textbook_foot(a, b))
               for i, (a, b, f) in enumerate(c.pairs())]
     return Constellation(c.l12, c.l23, c.l31, *frames, c.convention)
 

@@ -80,15 +80,22 @@ class OrientedLine:
 
 
 def common_perpendicular_feet(a: OrientedLine, b: OrientedLine):
-    """Feet (qa, qb) of the common perpendicular of two non-parallel lines."""
+    """Feet (qa, qb) of the common perpendicular of two non-parallel lines.
+
+    With n = u_a x u_b and d = p_b - p_a, the foot parameters are
+    (d x u_b) . n / |n|^2 on a and (d x u_a) . n / |n|^2 on b.  The textbook
+    denominator 1 - (u_a . u_b)^2 equals |n|^2 but loses its leading digits
+    when the lines are nearly parallel or antiparallel, and such a pair's
+    foot lies far out, so the error is magnified; |n|^2 keeps them.
+    """
     d = b.point - a.point
     ua, ub = a.direction, b.direction
-    c = float(ua @ ub)
-    denom = 1.0 - c * c
-    if denom < PARALLEL_TOL**2:
+    n = cross(ua, ub)
+    nn = float(n @ n)
+    if nn < PARALLEL_TOL**2:
         raise ValueError("lines are (nearly) parallel; no unique common perpendicular")
-    ta = (float(d @ ua) - c * float(d @ ub)) / denom
-    tb = (c * float(d @ ua) - float(d @ ub)) / denom
+    ta = float(cross(d, ub) @ n) / nn
+    tb = float(cross(d, ua) @ n) / nn
     return a.point + ta * ua, b.point + tb * ub
 
 

@@ -35,7 +35,7 @@ from trinoids.constellation import (
     ParallelBoundaryWarning,
     _screw_sign,
 )
-from trinoids.lines import OrientedLine, common_perpendicular_feet, unit
+from trinoids.lines import PARALLEL_TOL, OrientedLine, unit
 from trinoids.params import PitchConvention, lambda_of_phi, pitch_coefficient, ray_distance_h
 from trinoids.weierstrass import (
     ExponentialData,
@@ -596,9 +596,12 @@ def helicoid_distances(frame, pitch: float, points):
 
 # ---------------------------------------------------------------------------
 # Original constellation solver: every cross product of two 3-vectors taken
-# with np.cross.  trinoids.lines.cross replaces it in the program and must
-# give exactly the same bits, so every document built from these functions
-# must match the program's byte for byte.
+# with np.cross, and each frame placed once at the perpendicular foot of the
+# textbook formula, whose denominator is 1 - (u_a . u_b)^2.  trinoids.lines.cross
+# replaces np.cross in the program and must give exactly the same bits, so
+# every line, rotation, lambda and invariant built from these functions must
+# match the program's bit for bit.  The program's foot divides by |u_a x u_b|^2
+# instead, so the frame translations agree only to rounding.
 
 
 def angle_between(u, v) -> float:
@@ -637,8 +640,20 @@ def ruling_residual(rotation, translation, pitch: float, line) -> float:
     return max(res_horizontal, res_axis, res_twist)
 
 
+def common_perpendicular_foot(a, b):
+    """Foot on a of the common perpendicular of two non-parallel lines."""
+    d = b.point - a.point
+    ua, ub = a.direction, b.direction
+    c = float(ua @ ub)
+    denom = 1.0 - c * c
+    if denom < PARALLEL_TOL**2:
+        raise ValueError("lines are (nearly) parallel; no unique common perpendicular")
+    ta = (float(d @ ua) - c * float(d @ ub)) / denom
+    return a.point + ta * ua
+
+
 def _pair_frame(a, b, lam: float, phi: float, convention):
-    qa, _ = common_perpendicular_feet(a, b)
+    qa = common_perpendicular_foot(a, b)
     n_hat = unit(np.cross(a.direction, b.direction))
     e = -_screw_sign(phi) * n_hat
     sigma = math.copysign(1.0, lam)

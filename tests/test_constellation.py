@@ -84,7 +84,7 @@ class TestSolve:
                 assert mirror_related(sols[0].lines(), sols[1].lines())
 
     def test_self_check_is_the_report(self):
-        # the solver's own report, also where the frames were placed again
+        # the solver's own report, also where the textbook foot fails the check
         for phis in GENERIC_TRIPLES + REPLACED_FRAMES[:2]:
             for sol in solve_constellations(*phis):
                 assert sol.self_check == verify_constellation(sol, phis)

@@ -270,11 +270,9 @@ class TestVerifyEndBytes:
         (2 / 3, 7, ["--min-radius-exp", "6", "--tol", "1e-9"]),
         (3 / 2, 8, []),
         (1 / 2, None, ["--min-radius-exp", "4", "--fit-lambda", "2.0"]),
+        (0.8, 7, ["--fit-lambda", "0.0984375"]),
     ])
     def test_json_and_csv(self, capsys, monkeypatch, tmp_path, alpha, seed, args):
-        # a fit to the wrong lambda fails, and its least-squares polish
-        # amplifies the change of the sampled points
-        float_tol = 1e-7 if "--fit-lambda" in args else 1e-10
         pe = W.power_end_data(alpha) if seed is None else perturbed(alpha, seed)
         data = tmp_path / "end.json"
         data.write_text(json.dumps(W.data_to_json(pe)))
@@ -290,9 +288,9 @@ class TestVerifyEndBytes:
                             oracles.sample_conjugate_end)
         old = outputs("old")
         assert new[0] == old[0] and new[0] in (0, 1)
-        assert_same_report(new[1], old[1], float_tol)
+        assert_same_report(new[1], old[1], 1e-10)
         assert new[2].splitlines()[0] == old[2].splitlines()[0]
-        assert_same_report(csv_doc(new[2]), csv_doc(old[2]), float_tol)
+        assert_same_report(csv_doc(new[2]), csv_doc(old[2]), 1e-10)
 
 
 def csv_doc(text):
@@ -323,6 +321,19 @@ class TestNoQuadratureInSource:
                         word in node.name for word in ("segment", "integrand", "quad")):
                     found.append(f"{path.stem}: defines {node.name}")
         assert found == ["weierstrass: imports quad"]
+
+    def test_only_scipy_import_is_quad(self):
+        # helicoid frames are placed in closed form: no scipy.optimize
+        found = []
+        for path in sorted(SRC.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    found += [f"{path.stem}: {alias.name}" for alias in node.names
+                              if alias.name.split(".")[0] == "scipy"]
+                elif (isinstance(node, ast.ImportFrom)
+                      and (node.module or "").split(".")[0] == "scipy"):
+                    found += [f"{path.stem}: {alias.name}" for alias in node.names]
+        assert found == ["weierstrass: quad"]
 
 
 class TestClosedForm:
