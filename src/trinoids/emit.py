@@ -6,6 +6,7 @@ import functools
 import json
 import os
 import secrets
+import weakref
 from importlib import resources
 from typing import Iterable, Optional, Sequence
 
@@ -28,11 +29,27 @@ def _format_rows(row_fmt: str, rows) -> str:
 
 
 def _quads(nx: int, ny: int, offset: int = 0) -> np.ndarray:
-    """1-based corner indices (a, b, c, d) of the quads of an nx-by-ny grid,
+    """Corner indices (a, b, c, d) of the quads of an nx-by-ny grid,
     row-major, for vertices numbered from ``offset + 1``."""
     j, i = np.meshgrid(np.arange(ny - 1), np.arange(nx - 1), indexing="ij")
     a = (offset + j * nx + i + 1).reshape(-1)
     return np.stack([a, a + 1, a + nx + 1, a + nx], axis=1)
+
+
+# the formatted positions and normals of each live grid, as "\n%.17g %.17g %.17g"
+# rows; a grid is immutable, so its entry cannot go stale, and it goes away with it
+_GRID_ROWS: weakref.WeakKeyDictionary[SurfaceGrid, tuple[str, str]] = weakref.WeakKeyDictionary()
+
+
+def _grid_rows(grid: SurfaceGrid) -> tuple[str, str]:
+    """Position and normal rows of ``grid``, each led by its newline,
+    formatted once per grid and shared by the OBJ and CSV writers."""
+    rows = _GRID_ROWS.get(grid)
+    if rows is None:
+        rows = tuple(_format_rows("\n%.17g %.17g %.17g", a.reshape(-1, 3))
+                     for a in (grid.positions, grid.normals))
+        _GRID_ROWS[grid] = rows
+    return rows
 
 
 def obj_from_grid(grid: SurfaceGrid) -> str:
@@ -42,20 +59,34 @@ def obj_from_grid(grid: SurfaceGrid) -> str:
     (y index outer, x index inner), indices are 1-based.
     """
     ny, nx, _ = grid.positions.shape
+    positions, normals = _grid_rows(grid)
+    # each index is formatted once, as the "a//a" token of its vertex and normal
+    tokens = np.array([f"{a}//{a}" for a in range(1, nx * ny + 1)], dtype=object)
+    corners = tokens[_quads(nx, ny, -1)]
+    # every row after the header starts with its newline; the last one ends the file
     return "".join([
-        f"# parametric grid {nx} x {ny}, model {grid.model.value}\n",
-        _format_rows(VERTEX_ROW, grid.positions.reshape(-1, 3)),
-        _format_rows("vn %.17g %.17g %.17g\n", grid.normals.reshape(-1, 3)),
-        _format_rows("f %d//%d %d//%d %d//%d %d//%d\n", np.repeat(_quads(nx, ny), 2, axis=1)),
+        f"# parametric grid {nx} x {ny}, model {grid.model.value}",
+        positions.replace("\n", "\nv "),
+        normals.replace("\n", "\nvn "),
+        ("\nf %s %s %s %s" * len(corners)) % tuple(corners.reshape(-1).tolist()),
+        "\n",
     ])
 
 
 def csv_from_grid(grid: SurfaceGrid) -> str:
     """CSV rows x,y,px,py,pz,nx,ny,nz at full double precision."""
-    x, y = np.meshgrid(grid.xs, grid.ys)
-    table = np.column_stack([x.reshape(-1), y.reshape(-1),
-                             grid.positions.reshape(-1, 3), grid.normals.reshape(-1, 3)])
-    return "x,y,px,py,pz,nx,ny,nz\n" + _format_rows(",".join(["%.17g"] * 8) + "\n", table)
+    ny, nx, _ = grid.positions.shape
+    positions, normals = _grid_rows(grid)
+    xs = ["%.17g" % x for x in grid.xs.tolist()]
+    ys = ["%.17g" % y for y in grid.ys.tolist()]
+    fields = [None] * (4 * nx * ny)
+    fields[0::4] = xs * ny
+    fields[1::4] = [y for y in ys for _ in range(nx)]
+    fields[2::4] = positions.split("\n")[1:]
+    fields[3::4] = normals.split("\n")[1:]
+    # neither the header nor a formatted float holds a space
+    text = ("x,y,px,py,pz,nx,ny,nz" + "\n%s %s %s %s" * (nx * ny) + "\n") % tuple(fields)
+    return text.replace(" ", ",")
 
 
 def _segments(lines_in: Iterable[OrientedLine], box: float) -> tuple[str, int]:

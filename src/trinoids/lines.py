@@ -41,13 +41,6 @@ def angle_between(u: np.ndarray, v: np.ndarray) -> float:
     return math.atan2(np.linalg.norm(cross(u, v)), float(u @ v))
 
 
-def rotation_about(axis: np.ndarray, angle: float) -> np.ndarray:
-    """Right-handed rotation matrix about a unit axis (Rodrigues)."""
-    k = unit(axis)
-    K = np.array([[0, -k[2], k[1]], [k[2], 0, -k[0]], [-k[1], k[0], 0]])
-    return np.eye(3) + math.sin(angle) * K + (1.0 - math.cos(angle)) * (K @ K)
-
-
 @dataclass(frozen=True, eq=False)
 class OrientedLine:
     """Line {point + t * direction}, canonicalized at construction.

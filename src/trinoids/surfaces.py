@@ -264,11 +264,14 @@ def mean_curvature_estimate(
     raise ValueError(f"mean curvature estimator not implemented for model {model}")
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class SurfaceGrid:
     """Sampled immersion on a rectangular parameter grid.
 
     positions and normals have shape (ny, nx, 3); xs varies along axis 1.
+    A grid is immutable: its fields cannot be reassigned, and its four
+    arrays are read-only copies of the ones it was given, so text formatted
+    from a grid stays true to it.
     """
 
     xs: np.ndarray
@@ -277,6 +280,12 @@ class SurfaceGrid:
     normals: np.ndarray
     model: Model
     kind: str = field(default="")
+
+    def __post_init__(self) -> None:
+        for name in ("xs", "ys", "positions", "normals"):
+            array = np.array(getattr(self, name))
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
 
     def validate(self) -> None:
         if not np.all(np.isfinite(self.positions)):

@@ -610,6 +610,13 @@ def angle_between(u, v) -> float:
     return math.atan2(np.linalg.norm(np.cross(u, v)), float(u @ v))
 
 
+def rotation_about(axis, angle: float) -> np.ndarray:
+    """Right-handed rotation matrix about a unit axis (Rodrigues)."""
+    k = unit(axis)
+    K = np.array([[0, -k[2], k[1]], [k[2], 0, -k[0]], [-k[1], k[0], 0]])
+    return np.eye(3) + math.sin(angle) * K + (1.0 - math.cos(angle)) * (K @ K)
+
+
 def line_distance(a, b) -> float:
     n = np.cross(a.direction, b.direction)
     norm = np.linalg.norm(n)

@@ -17,7 +17,6 @@ from trinoids.asymptotics import (
     verify_end,
 )
 from trinoids.constellation import HelicoidFrame
-from trinoids.lines import rotation_about
 from trinoids.params import reduced_angle
 from trinoids.surfaces import helicoid_point
 
@@ -160,7 +159,7 @@ class TestDecay:
         rays = fit_rays(sample)
         fit = fit_helicoid(rays, sample.lam)
         # sabotage the frame: tilt by 0.05 rad
-        R = rotation_about([1.0, 0.0, 0.0], 0.05) @ fit.frame.rotation
+        R = oracles.rotation_about([1.0, 0.0, 0.0], 0.05) @ fit.frame.rotation
         bad_frame = HelicoidFrame(fit.frame.lam, R, fit.frame.translation)
         bad_fit = type(fit)(frame=bad_frame, residual=1.0, passed=False)
         profile = decay_profile(sample, bad_fit)

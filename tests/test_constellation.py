@@ -20,7 +20,7 @@ from trinoids.constellation import (
     verify_constellation,
 )
 from trinoids.emit import dump_json
-from trinoids.lines import OrientedLine, angle_between, line_distance, rotation_about, unit
+from trinoids.lines import OrientedLine, angle_between, line_distance, unit
 from trinoids.params import PitchConvention, ray_distance_h, reduced_angle
 
 PI = math.pi
@@ -169,7 +169,7 @@ class TestVerify:
 class TestCongruence:
     def test_rigid_copy_is_congruent(self):
         sol = solve_constellations(1.6, 2.0, 2.2)[0]
-        R = rotation_about([1.0, 2.0, 0.5], 1.1)
+        R = oracles.rotation_about([1.0, 2.0, 0.5], 1.1)
         t = np.array([0.4, -2.0, 3.0])
         copy = transformed(sol.lines(), R, t)
         assert lines_congruent(sol.lines(), copy)

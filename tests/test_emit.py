@@ -1,6 +1,8 @@
 """The array-at-a-time emitters against the one-float-at-a-time oracles in
 ``tests/oracles.py``: every case must match byte for byte."""
 
+import dataclasses
+import gc
 import math
 import os
 import subprocess
@@ -22,9 +24,17 @@ SPECIALS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e16, -1e308, 1
             math.nan, math.inf, -math.inf, 0.1, 1.0 / 3.0, 123456789.0]
 
 
+def assert_same_text(got, expected):
+    # compared without assert, whose report would diff megabytes of text
+    if got != expected:
+        at = len(os.path.commonprefix([got, expected]))
+        pytest.fail(f"texts differ from offset {at}: "
+                    f"{got[at:at + 60]!r} != {expected[at:at + 60]!r}")
+
+
 def assert_same_grid_text(grid):
-    assert emit.obj_from_grid(grid) == oracles.obj_from_grid(grid)
-    assert emit.csv_from_grid(grid) == oracles.csv_from_grid(grid)
+    assert_same_text(emit.obj_from_grid(grid), oracles.obj_from_grid(grid))
+    assert_same_text(emit.csv_from_grid(grid), oracles.csv_from_grid(grid))
 
 
 @pytest.mark.parametrize("kind,lam,ball", [
@@ -39,6 +49,48 @@ def test_catalog_grids(kind, lam, ball, nx, ny):
     ys = np.linspace(0.0 if kind == "cousin" else -math.pi, ymax, ny)
     grid = surfaces.surface_grid(kind, lam, np.linspace(-2.0, 2.0, nx), ys, ball_model=ball)
     assert_same_grid_text(grid)
+
+
+def cousin_grid(nx, ny, ball=False):
+    ys = np.linspace(0.0, 2.0 * math.pi / math.sqrt(1.0 + 4.0 * 0.75), ny)
+    return surfaces.surface_grid("cousin", 0.75, np.linspace(-2.0, 2.0, nx), ys, ball_model=ball)
+
+
+def test_bench_sized_grid():
+    """The 201 x 201 grid that the benchmark emits, in the ball model."""
+    assert_same_grid_text(cousin_grid(201, 201, ball=True))
+
+
+class TestSharedRows:
+    """Both writers share one formatting of a grid's positions and normals."""
+
+    def test_any_order_gives_the_oracle_bytes(self):
+        grid = cousin_grid(13, 7)
+        obj, csv = oracles.obj_from_grid(grid), oracles.csv_from_grid(grid)
+        assert emit.csv_from_grid(grid) == csv
+        assert emit.obj_from_grid(grid) == obj
+        assert emit.obj_from_grid(grid) == obj
+
+    def test_grid_is_immutable(self):
+        positions = np.ones((2, 3, 3))
+        grid = SurfaceGrid(xs=np.zeros(3), ys=np.zeros(2), positions=positions,
+                           normals=positions, model=Model.EUCLIDEAN)
+        text = emit.obj_from_grid(grid)
+        positions[0, 0, 0] = 2.0
+        for array in (grid.xs, grid.ys, grid.positions, grid.normals):
+            with pytest.raises(ValueError):
+                array[0] = 2.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            grid.positions = positions
+        assert emit.obj_from_grid(grid) == text == oracles.obj_from_grid(grid)
+
+    def test_rows_go_away_with_the_grid(self):
+        grid = cousin_grid(5, 4)
+        emit.csv_from_grid(grid)
+        rows = emit._GRID_ROWS[grid]
+        del grid
+        gc.collect()
+        assert all(entry is not rows for entry in emit._GRID_ROWS.values())
 
 
 def test_special_values():
