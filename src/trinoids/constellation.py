@@ -31,7 +31,6 @@ import numpy as np
 
 from .classify import TripleTag, classify_triple
 from .lines import (
-    PARALLEL_TOL,
     OrientedLine,
     angle_between,
     common_perpendicular_feet,
@@ -51,6 +50,8 @@ from .params import (
 
 # invariant tolerance of lines_congruent and mirror_related; frame_patch samples
 CONGRUENCE_TOL = 1e-9
+# solver self-check: angles absolute, containment and distances per max(1, scale)
+RESIDUAL_TOL = 1e-9
 PATCH_S_SAMPLES = 9
 PATCH_Y_SAMPLES = 25
 
@@ -99,8 +100,8 @@ class Constellation:
     f2: HelicoidFrame
     f3: HelicoidFrame
     convention: PitchConvention
-    # residuals of the solver's self-check for the triple it was solved for;
-    # None for a constellation built by other means
+    # residuals of the solver's self-check for the triple it was solved for,
+    # which passed ConstellationReport.ok; None for one built by other means
     self_check: Optional[ConstellationReport] = field(default=None, compare=False)
 
     def lines(self) -> Tuple[OrientedLine, OrientedLine, OrientedLine]:
@@ -119,13 +120,19 @@ class ConstellationReport:
     containment: Tuple[float, ...]  # 6 values: (frame_i, line) for both lines
     angle: Tuple[float, ...]        # |angle(u_a, u_b) - (pi - r_i)|
     distance: Tuple[float, ...]     # |dist(a, b) - h_i|
+    scale: float                    # largest |coordinate| of line points and translations
 
     @property
     def max_residual(self) -> float:
         return max(max(self.containment), max(self.angle), max(self.distance))
 
-    def ok(self, tol: float = 1e-9) -> bool:
-        return self.max_residual < tol
+    def ok(self) -> bool:
+        """Angles within RESIDUAL_TOL; containment and distances within
+        RESIDUAL_TOL * max(1, scale), since their rounding grows with the
+        coordinates (near a face feet lie 1e7 out, where one ulp is 1.9e-9)."""
+        tol = RESIDUAL_TOL * max(1.0, self.scale)
+        return (max(self.angle) < RESIDUAL_TOL and max(self.containment) < tol
+                and max(self.distance) < tol)
 
 
 def _screw_sign(phi: float) -> float:
@@ -160,7 +167,6 @@ def solve_constellations(
     phi3: float,
     convention: PitchConvention = PitchConvention.HALF_GAP,
     eps_face: float = 1e-12,
-    residual_tol: float = 1e-9,
 ) -> List[Constellation]:
     """The admissible constellations for an angle triple, up to rigid motion.
 
@@ -168,14 +174,17 @@ def solve_constellations(
     list otherwise (with a ParallelBoundaryWarning in the boundary case).
     Gauge: l12 runs through the pair-1 perpendicular foot at the origin with
     direction (1, 0, 0) and l31's direction lies in the xy-plane.  Each
-    frame is placed in closed form: the common perpendicular of its two
-    lines is the helicoid axis, and the frame sits at its foot on the
-    carried line (lines.common_perpendicular_feet, or _textbook_foot where
-    that placement fails the self-check).
+    frame is placed once, in closed form: the common perpendicular of its
+    two lines is the helicoid axis, and the frame sits at its foot on the
+    carried line (lines.common_perpendicular_feet).
 
-    Raises ConstellationSolveError if a solution fails its own residual
-    checks at residual_tol (never returned silently); each returned solution
-    carries the report of those checks as ``self_check``.
+    Each solution is checked against its own residuals (ConstellationReport.ok)
+    and carries that report as ``self_check``; none is returned silently
+    unchecked.  The directions come from cosines of the reduced angles
+    alone, so a triple too close to the boundary for double precision raises
+    ValueError: the direction solve degenerates, or its angles miss pi - r_i
+    by RESIDUAL_TOL or more.  Any other failed check raises
+    ConstellationSolveError.
     """
     outcome = classify_triple(phi1, phi2, phi3, eps_face=eps_face)
     if outcome.tag is TripleTag.PARALLEL_BOUNDARY:
@@ -201,7 +210,7 @@ def solve_constellations(
     ay = (math.cos(s[2]) - math.cos(s[0]) * math.cos(s[1])) / math.sin(s[0])
     az2 = 1.0 - ax * ax - ay * ay
     if az2 <= 0.0:
-        raise ConstellationSolveError(
+        raise ValueError(
             f"direction solve degenerate (az^2 = {az2}); triple too close to the boundary"
         )
     az = math.sqrt(az2)
@@ -211,17 +220,17 @@ def solve_constellations(
         u23 = np.array([ax, ay, sign * az])
         sol = _assemble(phis, lams, u12, u23, u31, convention)
         report = verify_constellation(sol, phis)
-        if not report.ok(residual_tol):
-            # near a face the feet can lie 1e7 out, where one ulp (1.9e-9)
-            # exceeds the absolute tolerance: see _textbook_foot
-            replaced = _frames_at_textbook_feet(sol, phis)
-            replaced_report = verify_constellation(replaced, phis)
-            if not replaced_report.ok(residual_tol):
-                raise ConstellationSolveError(
-                    "solution failed self-check: max residual "
-                    f"{replaced_report.max_residual:.3e}"
-                )
-            sol, report = replaced, replaced_report
+        if not report.ok():
+            for i, res in enumerate(report.angle):
+                if not res < RESIDUAL_TOL:
+                    raise ValueError(
+                        f"direction solve cannot resolve reduced angle r{i + 1} = {r[i]:.3e} "
+                        f"in double precision (angle residual {res:.3e}); triple too close "
+                        "to the boundary"
+                    )
+            raise ConstellationSolveError(
+                f"solution failed self-check: max residual {report.max_residual:.3e}"
+            )
         solutions.append(replace(sol, self_check=report))
     return solutions
 
@@ -256,38 +265,13 @@ def _assemble(phis, lams, u12, u23, u31, convention) -> Constellation:
     return Constellation(l12, l23, l31, f1, f2, f3, convention)
 
 
-def _textbook_foot(a: OrientedLine, b: OrientedLine) -> np.ndarray:
-    """Foot on a of the common perpendicular, over 1 - (u_a . u_b)^2.
-
-    lines.common_perpendicular_feet is the accurate form.  Near a face,
-    though, feet lie up to 1e7 out, where one ulp exceeds the absolute
-    self-check tolerance, and the two forms round a foot to different
-    doubles: a few solvable triples pass the check only at this foot.  The
-    solver places the frames here when the first placement fails, until the
-    tolerance scales with the coordinates.
-    """
-    d = b.point - a.point
-    c = float(a.direction @ b.direction)
-    denom = 1.0 - c * c
-    if denom < PARALLEL_TOL**2:
-        raise ValueError("lines are (nearly) parallel; no unique common perpendicular")
-    ta = (float(d @ a.direction) - c * float(d @ b.direction)) / denom
-    return a.point + ta * a.direction
-
-
-def _frames_at_textbook_feet(c: Constellation, phis) -> Constellation:
-    """The same lines, every frame placed at the foot from _textbook_foot."""
-    frames = [_pair_frame(a, b, f.lam, phis[i], _textbook_foot(a, b))
-              for i, (a, b, f) in enumerate(c.pairs())]
-    return Constellation(c.l12, c.l23, c.l31, *frames, c.convention)
-
-
 def verify_constellation(c: Constellation, phis) -> ConstellationReport:
     """Residuals of the three defining conditions for an angle triple.
 
     Report-only: containment of both lines of each pair as rulings of the
     framed helicoid, the oriented-direction angle against pi - r_i, and the
-    line distance against ray_distance_h(phi_i, convention).
+    line distance against ray_distance_h(phi_i, convention); and the scale
+    of the coordinates, which ConstellationReport.ok applies.
     """
     phis = tuple(float(p) for p in phis)
     containment: List[float] = []
@@ -301,7 +285,9 @@ def verify_constellation(c: Constellation, phis) -> ConstellationReport:
         angles.append(abs(angle_between(a.direction, b.direction) - (math.pi - r_i)))
         h_i = ray_distance_h(phis[i], c.convention)
         distances.append(abs(line_distance(a, b) - h_i))
-    return ConstellationReport(tuple(containment), tuple(angles), tuple(distances))
+    points = [line.point for line in c.lines()] + [f.translation for _, _, f in c.pairs()]
+    scale = max(abs(x) for v in points for x in v.tolist())
+    return ConstellationReport(tuple(containment), tuple(angles), tuple(distances), scale)
 
 
 def _invariant_set(lines) -> Tuple[np.ndarray, np.ndarray, float]:

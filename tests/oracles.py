@@ -9,9 +9,9 @@ write out each slack formula and membership rule separately, and the
 end-sampling oracles integrate every path on its own by adaptive
 quadrature, one monomial power at a time, the correction integral by
 quadrature, the helicoid distance oracle loops over points one at a time,
-the constellation oracles take every cross product with np.cross, and the
-command-line oracle builds its parser and checks each schema anew on every
-call.
+the constellation oracles take every cross product with np.cross and check
+frames in exact rational arithmetic, and the command-line oracle builds its
+parser and checks each schema anew on every call.
 """
 
 import cmath
@@ -19,6 +19,7 @@ import math
 import sys
 import warnings
 from dataclasses import fields
+from fractions import Fraction
 
 import jsonschema
 import numpy as np
@@ -601,7 +602,9 @@ def helicoid_distances(frame, pitch: float, points):
 # replaces np.cross in the program and must give exactly the same bits, so
 # every line, rotation, lambda and invariant built from these functions must
 # match the program's bit for bit.  The program's foot divides by |u_a x u_b|^2
-# instead, so the frame translations agree only to rounding.
+# instead, so the frame translations agree only to rounding.  The original's
+# self-check is absolute (max_residual < residual_tol); the program scales its
+# containment and distance parts with the coordinates.
 
 
 def angle_between(u, v) -> float:
@@ -709,7 +712,10 @@ def verify_constellation(c, phis):
         angles.append(abs(angle_between(a.direction, b.direction) - (math.pi - r_i)))
         h_i = ray_distance_h(phis[i], c.convention)
         distances.append(abs(line_distance(a, b) - h_i))
-    return ConstellationReport(tuple(containment), tuple(angles), tuple(distances))
+    coords = np.concatenate([line.point for line in c.lines()]
+                            + [frame.translation for _, _, frame in c.pairs()])
+    return ConstellationReport(tuple(containment), tuple(angles), tuple(distances),
+                               float(np.max(np.abs(coords))))
 
 
 def solve_constellations(phi1, phi2, phi3, convention=PitchConvention.HALF_GAP,
@@ -745,7 +751,7 @@ def solve_constellations(phi1, phi2, phi3, convention=PitchConvention.HALF_GAP,
         u23 = np.array([ax, ay, sign * az])
         sol = _assemble(phis, lams, u12, u23, u31, convention)
         report = verify_constellation(sol, phis)
-        if not report.ok(residual_tol):
+        if not report.max_residual < residual_tol:
             raise ConstellationSolveError(
                 f"solution failed self-check: max residual {report.max_residual:.3e}"
             )
@@ -761,6 +767,56 @@ def invariant_set(lines):
     gaps = np.array([signed_gap(a, b) for a, b in pairs])
     triple = float(np.linalg.det(np.column_stack([l12.direction, l23.direction, l31.direction])))
     return angles, gaps, math.copysign(1.0, triple)
+
+
+def exact_frame_residual(c, phis) -> float:
+    """Largest violation of four frame conditions over max(1, s), from the
+    solution's own floats in exact rational arithmetic.
+
+    Per pair (carried line a, image line b, frame with origin T and axis e,
+    the rotation's third column): T lies on a; the axis meets b; e . u_a and
+    e . u_b vanish; and the distance of a and b is h = |pi^2/(4 phi) - phi/4|,
+    doubled under RULING_GAP.  s is the largest |coordinate| of the line
+    points and frame translations.  Each squared distance is exact, so only
+    its square root and the final quotient round.  The position of the foot
+    is not compared: along nearly antiparallel lines it is ill-conditioned,
+    while these conditions are not.
+    """
+    Q = Fraction
+
+    def vec(v):
+        return [Q(x) for x in v.tolist()]
+
+    def dot(u, v):
+        return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+    def sub(u, v):
+        return [u[0] - v[0], u[1] - v[1], u[2] - v[2]]
+
+    def crs(u, v):
+        return [u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0]]
+
+    def offset(p, n):
+        """Distance from p along n, the length of n divided out."""
+        return math.sqrt(dot(p, n) ** 2 / dot(n, n))
+
+    coords = [line.point for line in c.lines()] + [frame.translation for _, _, frame in c.pairs()]
+    s = max(abs(x) for v in coords for x in v.tolist())
+    pi = Q(math.pi)
+    factor = 2 if c.convention is PitchConvention.RULING_GAP else 1
+    worst = 0.0
+    for phi, (a, b, frame) in zip(phis, c.pairs()):
+        pa, ua, pb, ub = vec(a.point), vec(a.direction), vec(b.point), vec(b.direction)
+        t, e = vec(frame.translation), vec(frame.rotation[:, 2])
+        w = crs(sub(t, pa), ua)
+        on_carried = math.sqrt(dot(w, w) / dot(ua, ua))
+        meets_image = offset(sub(pb, t), crs(e, ub))
+        dist = offset(sub(pb, pa), crs(ua, ub))
+        phi = Q(float(phi))
+        h = factor * abs(pi * pi / (4 * phi) - phi / 4)
+        gap = abs(float(Q(dist) - h))
+        worst = max(worst, on_carried, meets_image, abs(dot(e, ua)), abs(dot(e, ub)), gap)
+    return float(worst) / max(1.0, s)
 
 
 # ---------------------------------------------------------------------------

@@ -347,6 +347,31 @@ class TestConstellation:
         assert err.startswith("error: --box must lie in (0, inf)") and err.count("\n") == 1
         assert not obj.exists() and not out_json.exists()
 
+    @pytest.mark.parametrize("phis,message", [
+        # az^2 rounds to 0 in the direction solve
+        ((10.317739843205928, 5.390223438069138, 6.283185291196566),
+         "error: direction solve degenerate (az^2 = 0.0); triple too close to the boundary"),
+        # r3 = 6.4e-11: its cosine does not resolve it, so the angles miss by 1e-8
+        ((11.464746421549728, 8.323153767955947, 6.283185307243696),
+         "error: direction solve cannot resolve reduced angle r3 = 6.411e-11"),
+    ])
+    def test_too_close_to_the_boundary(self, capsys, tmp_path, phis, message):
+        out_json = tmp_path / "k.json"
+        code, out, err = run(capsys, "constellation", *map(repr, phis), "--json", str(out_json))
+        assert code == 2 and out == ""
+        assert err.startswith(message) and err.count("\n") == 1
+        assert not out_json.exists()
+
+    def test_tiny_angle_solved(self, capsys):
+        # r3 = 6.6e-4: the feet lie 2e7 out, where one ulp (3.7e-9) exceeds
+        # the absolute 1e-9, so only a scale-relative check passes this triple
+        phis = (3.877899969905752, 0.7356678654614176, 0.0006582943895908233)
+        code, out, _ = run(capsys, "constellation", *map(repr, phis))
+        doc = json.loads(out)
+        validate_against_schema(doc, "constellation.schema.json")
+        assert code == 0 and doc["count"] == 2
+        assert max(s["residuals"]["max"] for s in doc["solutions"]) >= 1e-9
+
     def test_internal_error_exit(self, capsys, monkeypatch):
         from trinoids.constellation import ConstellationSolveError
 
