@@ -220,14 +220,14 @@ def solve_constellations(
         u23 = np.array([ax, ay, sign * az])
         sol = _assemble(phis, lams, u12, u23, u31, convention)
         report = verify_constellation(sol, phis)
+        for i, res in enumerate(report.angle):
+            if not res < RESIDUAL_TOL:
+                raise ValueError(
+                    f"direction solve cannot resolve reduced angle r{i + 1} = {r[i]:.3e} "
+                    f"in double precision (angle residual {res:.3e}); triple too close "
+                    "to the boundary"
+                )
         if not report.ok():
-            for i, res in enumerate(report.angle):
-                if not res < RESIDUAL_TOL:
-                    raise ValueError(
-                        f"direction solve cannot resolve reduced angle r{i + 1} = {r[i]:.3e} "
-                        f"in double precision (angle residual {res:.3e}); triple too close "
-                        "to the boundary"
-                    )
             raise ConstellationSolveError(
                 f"solution failed self-check: max residual {report.max_residual:.3e}"
             )
