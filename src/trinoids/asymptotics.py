@@ -37,15 +37,12 @@ from .lines import (
 )
 from .params import PitchConvention, ray_distance_h, reduced_angle
 from .weierstrass import (
-    IntegrationPath,
     PowerEndData,
-    Route,
     branch_arg,
     conjugate_data,
     correction_bound,
     gauss_normal,
-    integrate,  # noqa: F401  re-exported; the benchmark tracer tests look it up here
-    integrate_many,
+    integrate,
     is_symmetric,
     principal_log_coefficient,
 )
@@ -105,14 +102,11 @@ def sample_conjugate_end(
     s_vals = np.geomspace(1.0, radii[-1], boundary_samples)
     targets = [rho * np.exp(1j * th) for rho in radii for th in thetas]
     targets += list(s_vals) + [complex(-s, 0.0) for s in s_vals]
-    # one call, so the radial leg 1 -> rho shared by an arc is integrated once
-    points = integrate_many(
-        conj, [IntegrationPath(1.0, z, Route.RADIAL_THEN_ARC) for z in targets], tol
-    )
+    points = integrate(conj, 1.0, targets, tol)
     m, n = samples_per_arc, len(radii) * samples_per_arc
-    arcs = [np.array(points[k : k + m]) for k in range(0, n, m)]
-    pos = np.array(points[n : n + boundary_samples])
-    neg = np.array(points[n + boundary_samples :])
+    arcs = [points[k : k + m] for k in range(0, n, m)]
+    pos = points[n : n + boundary_samples]
+    neg = points[n + boundary_samples :]
     return EndSample(
         data=conj,
         alpha=data.alpha,
@@ -140,9 +134,8 @@ class SlabReport:
     passed: bool
 
 
-def _principal_third(sample: EndSample, z: complex) -> float:
-    """Principal part of the third coordinate at z, base point 1."""
-    coef = principal_log_coefficient(sample.data)
+def _principal_third(coef: complex, z: complex) -> float:
+    """Principal part, log coefficient coef, of the third coordinate at z."""
     return (coef * (math.log(abs(z)) + 1j * branch_arg(z))).real
 
 
@@ -154,15 +147,16 @@ def check_slab(sample: EndSample) -> SlabReport:
     is exactly the removed correction.  Also reports how far the boundary
     rays are from being horizontal (their third-coordinate spread).
     """
+    coef = principal_log_coefficient(sample.data)
     residuals = []
     for rho, arc in zip(sample.radii, sample.arc_points):
         for th, pt in zip(sample.arc_angles, arc):
             z = rho * np.exp(1j * th)
-            residuals.append(pt[2] - _principal_third(sample, z))
+            residuals.append(pt[2] - _principal_third(coef, z))
     for s, pt in zip(sample.boundary_pos_s, sample.boundary_pos):
-        residuals.append(pt[2] - _principal_third(sample, complex(s)))
+        residuals.append(pt[2] - _principal_third(coef, complex(s)))
     for s, pt in zip(sample.boundary_neg_s, sample.boundary_neg):
-        residuals.append(pt[2] - _principal_third(sample, complex(-s, 0.0)))
+        residuals.append(pt[2] - _principal_third(coef, complex(-s, 0.0)))
     residuals = np.array(residuals)
     bound_2c = 2.0 * correction_bound(sample.data)
     width = float(residuals.max() - residuals.min())

@@ -19,8 +19,8 @@ Powers z^alpha use the principal branch with the cut along the negative
 imaginary axis (arg in [-pi/2, 3*pi/2)), so D is cut-free.  Every path
 integral is F(target) - F(z0) with F a closed-form antiderivative on that
 branch: z^p integrates to z^{p+1}/(p+1), z^{-1} to the branch logarithm,
-and the exponential data to hyperbolic functions.  Paths only decide
-which integrals are valid.
+and the exponential data to hyperbolic functions.  So an integral depends
+only on its endpoints, and those must lie in the domain.
 """
 
 from __future__ import annotations
@@ -29,13 +29,13 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass
-from enum import Enum
 from typing import Callable, Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 from scipy.integrate import quad  # noqa: F401  unused; bench/ wraps it (ROADMAP item 1)
 
 from .params import _check_lambda
+from .surfaces import gauss_normal_from_g
 
 _I_POWERS = (1 + 0j, 1j, -1 + 0j, -1j)
 # below this |p + 1| a monomial integrates as expm1((p+1) log z)/(p+1), which
@@ -175,44 +175,8 @@ def conjugate_data(data: WeierstrassData) -> WeierstrassData:
     )
 
 
-class Route(Enum):
-    RADIAL_THEN_ARC = "radial-then-arc"
-    ARC_THEN_RADIAL = "arc-then-radial"
-    STRAIGHT = "straight"
-
-
-@dataclass(frozen=True)
-class IntegrationPath:
-    """Path from z0 to target, as one of three routes.
-
-    Radial segments run along rays through the origin, arcs along circles
-    around it; for PowerEndData both endpoints must lie in the closed upper
-    half-disk D and the path must avoid 0.
-    """
-
-    z0: complex
-    target: complex
-    route: Route = Route.RADIAL_THEN_ARC
-
-
 def _in_upper_half_disk(z: complex) -> bool:
     return 0 < abs(z) <= 1.0 + 1e-12 and z.imag >= -1e-15
-
-
-def _validate_path(data: WeierstrassData, path: IntegrationPath) -> None:
-    z0, z1 = complex(path.z0), complex(path.target)
-    if isinstance(data, PowerEndData):
-        if not (_in_upper_half_disk(z0) and _in_upper_half_disk(z1)):
-            raise ValueError(
-                "PowerEnd paths must stay in the closed upper half-disk "
-                f"0 < |z| <= 1, Im z >= 0; got z0={z0}, target={z1}"
-            )
-    if path.route is Route.STRAIGHT:
-        # reject chords through the puncture: 0 on segment [z0, z1]
-        cross = (z0.conjugate() * z1).imag
-        dot = (z0.conjugate() * z1).real
-        if cross == 0.0 and dot < 0.0:
-            raise ValueError("straight path passes through the puncture at 0")
 
 
 def _poly_coeffs(data: PowerEndData) -> Tuple[np.ndarray, np.ndarray]:
@@ -291,50 +255,48 @@ def _antiderivative(data: WeierstrassData) -> Callable[[complex], Tuple[list, li
     return power_end
 
 
-def integrate_many(
-    data: WeierstrassData, paths: Sequence[IntegrationPath], tol: float = 1e-10
-) -> List[np.ndarray]:
-    """Immersion displacements Re(F(target) - F(z0)), one per path.
+def integrate(
+    data: WeierstrassData, z0: complex, targets: Sequence[complex], tol: float = 1e-10
+) -> np.ndarray:
+    """Immersion displacements Re(F(z) - F(z0)), one row per target z.
 
     F is the closed-form antiderivative of the three integrands on the
-    branch of branch_arg, evaluated once per distinct endpoint in a call.
-    Each component's rounding budget, eps times the summed magnitudes of
-    its terms at both endpoints, must not exceed tol; otherwise (and when F
+    branch of branch_arg, evaluated once at z0 and once per target.  Each
+    component's rounding budget, eps times the summed magnitudes of its
+    terms at both endpoints, must not exceed tol; otherwise (and when F
     overflows) QuadratureError carries the budget.  ValueError for a tol
-    outside (0, inf) and for paths leaving the domain or crossing the
-    puncture.
+    outside (0, inf), a non-finite endpoint and, for PowerEndData, an
+    endpoint outside the closed upper half-disk.
     """
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must lie in (0, inf), got {tol}")
+    z0 = complex(z0)
+    targets = [complex(z) for z in targets]
+    power_end = isinstance(data, PowerEndData)
+    for z in (z0, *targets):
+        if not cmath.isfinite(z):
+            raise ValueError(f"endpoint {z} is not finite")
+        if power_end and not _in_upper_half_disk(z):
+            raise ValueError(f"PowerEnd endpoint {z} lies outside the closed upper half-disk")
     antiderivative = _antiderivative(data)
-    # keyed by value: z = x + 0j and x - 0j share F, which is continuous there
-    cache: Dict[complex, Tuple[list, list]] = {}
 
     def at(z: complex) -> Tuple[list, list]:
-        if z not in cache:
-            try:
-                cache[z] = antiderivative(z)
-            except OverflowError:
-                raise QuadratureError(
-                    f"closed-form integral overflows at z = {z}", math.inf
-                ) from None
-        return cache[z]
+        try:
+            return antiderivative(z)
+        except OverflowError:
+            raise QuadratureError(
+                f"closed-form integral overflows at z = {z}", math.inf
+            ) from None
 
-    results = []
-    for path in paths:
-        _validate_path(data, path)
-        (f0, s0), (f1, s1) = at(complex(path.z0)), at(complex(path.target))
+    f0, s0 = at(z0)
+    out = np.empty((len(targets), 3))
+    for k, z in enumerate(targets):
+        f1, s1 = at(z)
         budget = _EPS * max(s0[0] + s1[0], s0[1] + s1[1], s0[2] + s1[2])
         if not budget <= tol:
             raise QuadratureError(f"rounding budget exceeds tol = {tol:.3e}", budget)
-        results.append(np.array([(f1[0] - f0[0]).real, (f1[1] - f0[1]).real,
-                                 (f1[2] - f0[2]).real]))
-    return results
-
-
-def integrate(data: WeierstrassData, path: IntegrationPath, tol: float = 1e-10) -> np.ndarray:
-    """Immersion displacement along one path; see integrate_many."""
-    return integrate_many(data, [path], tol)[0]
+        out[k] = (f1[0] - f0[0]).real, (f1[1] - f0[1]).real, (f1[2] - f0[2]).real
+    return out
 
 
 def principal_log_coefficient(data: PowerEndData) -> complex:
@@ -370,26 +332,6 @@ def correction_bound(data: PowerEndData) -> float:
     return float(2.0 * sum(abs(c) / (k + 1.0) for k, c in enumerate(rho)))
 
 
-def correction_integral(data: PowerEndData, z: complex) -> complex:
-    """C(z) = Int_1^z R(xi) d xi = sum_k rho_k (z^{k+1} - 1)/(k+1), exactly.
-
-    R is the polynomial of correction_coefficients, so C is its
-    antiderivative vanishing at 1, evaluated by Horner; C is bounded on the
-    closed upper half-disk and real on (0, 1] for real-coefficient data.
-    z must lie in the closed upper half-disk.
-    """
-    if not isinstance(data, PowerEndData):
-        raise TypeError("correction_integral is defined for PowerEndData")
-    z = complex(z)
-    if not _in_upper_half_disk(z):
-        raise ValueError(f"z={z} outside the closed upper half-disk")
-    coefs = [complex(c) / (k + 1) for k, c in enumerate(correction_coefficients(data))]
-    value = 0j
-    for c in reversed(coefs):
-        value = value * z + c
-    return value * z - sum(coefs)
-
-
 def g_value(data: WeierstrassData, z: complex) -> complex:
     """Gauss map g at z (branch-aware for PowerEndData)."""
     z = complex(z)
@@ -408,8 +350,6 @@ def gauss_normal(data: WeierstrassData, z: complex) -> np.ndarray:
 
     g = 0 gives (0, 0, -1); as z -> 0 a PowerEnd normal tends to (0, 0, -1).
     """
-    from .surfaces import gauss_normal_from_g
-
     return gauss_normal_from_g(g_value(data, z))
 
 

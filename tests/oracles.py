@@ -8,7 +8,8 @@ at a time instead of a whole array at once, the classification oracles
 write out each slack formula and membership rule separately, and the
 end-sampling oracles integrate every path on its own by adaptive
 quadrature, one monomial power at a time, the correction integral by
-quadrature, the helicoid distance oracle loops over points one at a time,
+quadrature, the endpoint-engine reference keeps the old per-path loop and
+endpoint cache around the program's antiderivative, the helicoid distance oracle loops over points one at a time,
 the constellation oracles take every cross product with np.cross and check
 frames in exact rational arithmetic, and the command-line oracle builds its
 parser and checks each schema anew on every call.
@@ -18,7 +19,8 @@ import cmath
 import math
 import sys
 import warnings
-from dataclasses import fields
+from dataclasses import dataclass, fields
+from enum import Enum
 from fractions import Fraction
 
 import jsonschema
@@ -39,17 +41,17 @@ from trinoids.constellation import (
 from trinoids.lines import PARALLEL_TOL, OrientedLine, unit
 from trinoids.params import PitchConvention, lambda_of_phi, pitch_coefficient, ray_distance_h
 from trinoids.weierstrass import (
+    _EPS,
     ExponentialData,
     PowerEndData,
-    IntegrationPath,
     QuadratureError,
-    Route,
     branch_log,
     branch_power,
     conjugate_data,
     correction_coefficients,
+    _antiderivative,
+    _in_upper_half_disk,
     _monomial_components,
-    _validate_path,
     branch_arg,
 )
 
@@ -388,8 +390,44 @@ def classify_doc(phis, eps_face: float) -> dict:
 # Quadrature engine: every path split into radial and arc segments, each
 # integrated by scipy's adaptive quad, with the PowerEnd integrand taking one
 # branch power per monomial and z^{-1} terms integrated as logarithms.
-# trinoids.weierstrass.integrate_many evaluates closed-form antiderivatives
-# at the endpoints instead and must agree to within the tolerance.
+# trinoids.weierstrass.integrate evaluates closed-form antiderivatives at the
+# endpoints instead and must agree to within the tolerance along every route.
+
+
+class Route(Enum):
+    RADIAL_THEN_ARC = "radial-then-arc"
+    ARC_THEN_RADIAL = "arc-then-radial"
+    STRAIGHT = "straight"
+
+
+@dataclass(frozen=True)
+class IntegrationPath:
+    """Path from z0 to target, as one of three routes.
+
+    Radial segments run along rays through the origin, arcs along circles
+    around it; for PowerEndData both endpoints must lie in the closed upper
+    half-disk D and the path must avoid 0.
+    """
+
+    z0: complex
+    target: complex
+    route: Route = Route.RADIAL_THEN_ARC
+
+
+def _validate_path(data, path) -> None:
+    z0, z1 = complex(path.z0), complex(path.target)
+    if isinstance(data, PowerEndData):
+        if not (_in_upper_half_disk(z0) and _in_upper_half_disk(z1)):
+            raise ValueError(
+                "PowerEnd paths must stay in the closed upper half-disk "
+                f"0 < |z| <= 1, Im z >= 0; got z0={z0}, target={z1}"
+            )
+    if path.route is Route.STRAIGHT:
+        # reject chords through the puncture: 0 on segment [z0, z1]
+        cross = (z0.conjugate() * z1).imag
+        dot = (z0.conjugate() * z1).real
+        if cross == 0.0 and dot < 0.0:
+            raise ValueError("straight path passes through the puncture at 0")
 
 
 def _segments(path):
@@ -506,6 +544,38 @@ def integrate(data, path, tol: float = 1e-10) -> np.ndarray:
     return out
 
 
+def integrate_paths(data, paths, tol: float = 1e-10):
+    """The closed-form engine as it stood when it took paths: every path
+    validated, and F evaluated once per distinct endpoint value through a
+    dict, so x + 0j and x - 0j share one evaluation.  Its antiderivative is
+    the program's; weierstrass.integrate must give the same bits."""
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must lie in (0, inf), got {tol}")
+    antiderivative = _antiderivative(data)
+    cache = {}
+
+    def at(z: complex):
+        if z not in cache:
+            try:
+                cache[z] = antiderivative(z)
+            except OverflowError:
+                raise QuadratureError(
+                    f"closed-form integral overflows at z = {z}", math.inf
+                ) from None
+        return cache[z]
+
+    results = []
+    for path in paths:
+        _validate_path(data, path)
+        (f0, s0), (f1, s1) = at(complex(path.z0)), at(complex(path.target))
+        budget = _EPS * max(s0[0] + s1[0], s0[1] + s1[1], s0[2] + s1[2])
+        if not budget <= tol:
+            raise QuadratureError(f"rounding budget exceeds tol = {tol:.3e}", budget)
+        results.append(np.array([(f1[0] - f0[0]).real, (f1[1] - f0[1]).real,
+                                 (f1[2] - f0[2]).real]))
+    return results
+
+
 def sample_conjugate_end(data, radii, samples_per_arc=33, boundary_samples=16,
                          tol=1e-10):
     """The end sampler on the quadrature engine, for symmetric data and
@@ -538,6 +608,26 @@ def sample_conjugate_end(data, radii, samples_per_arc=33, boundary_samples=16,
         boundary_neg=neg,
         tol=tol,
     )
+
+
+def correction_integral(data: PowerEndData, z: complex) -> complex:
+    """C(z) = Int_1^z R(xi) d xi = sum_k rho_k (z^{k+1} - 1)/(k+1), exactly.
+
+    R is the polynomial of correction_coefficients, so C is its
+    antiderivative vanishing at 1, evaluated by Horner; C is bounded on the
+    closed upper half-disk and real on (0, 1] for real-coefficient data.
+    z must lie in the closed upper half-disk.
+    """
+    if not isinstance(data, PowerEndData):
+        raise TypeError("correction_integral is defined for PowerEndData")
+    z = complex(z)
+    if not _in_upper_half_disk(z):
+        raise ValueError(f"z={z} outside the closed upper half-disk")
+    coefs = [complex(c) / (k + 1) for k, c in enumerate(correction_coefficients(data))]
+    value = 0j
+    for c in reversed(coefs):
+        value = value * z + c
+    return value * z - sum(coefs)
 
 
 def correction_integral_quadrature(data: PowerEndData, z: complex, tol: float = 1e-10) -> complex:

@@ -118,8 +118,7 @@ def test_criterion_3_helicoid_reproduction():
         for lam in (-0.2, 0.5, 1.0, 3.0):
             data = W.helicoid_data(lam)
             diffs = np.array([
-                W.integrate(data, W.IntegrationPath(0.0, complex(x, y), W.Route.STRAIGHT),
-                            1e-10)
+                W.integrate(data, 0.0, [complex(x, y)], 1e-10)[0]
                 - helicoid_point(lam, x, y)
                 for x in xs
                 for y in ys

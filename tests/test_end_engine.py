@@ -1,11 +1,14 @@
-"""integrate_many and the end sampler against the quadrature engine.
+"""integrate and the end sampler against the quadrature engine.
 
 The quadrature engine (tests/oracles.py) integrates every path on its own,
 segment by segment with scipy's adaptive quad, one branch power per
-monomial.  The program evaluates closed-form antiderivatives once per
-distinct endpoint.  Every sampled coordinate must agree with the oracle to
-within the tolerance; every value that does not come from an integral
-(radii, angles, ray parameters) keeps its bits.
+monomial, along each of three routes.  The program evaluates closed-form
+antiderivatives once at the base point and once per target, so its value
+depends only on the endpoints.  Every sampled coordinate must agree with
+the oracle to within the tolerance; every value that does not come from an
+integral (radii, angles, ray parameters) keeps its bits, and every
+integral keeps the bits of the engine's earlier per-path loop
+(oracles.integrate_paths).
 """
 
 import ast
@@ -20,7 +23,8 @@ import pytest
 import oracles
 from trinoids import asymptotics, cli
 from trinoids import weierstrass as W
-from trinoids.weierstrass import IntegrationPath, QuadratureError, Route, integrate, integrate_many
+from oracles import IntegrationPath, Route
+from trinoids.weierstrass import QuadratureError, integrate
 
 DEFAULT = asymptotics.DEFAULT_RADII
 SHORT = tuple(0.5**k for k in range(1, 6))
@@ -73,7 +77,7 @@ def count_quad(monkeypatch):
 
 
 def count_antiderivative(monkeypatch):
-    """Endpoints at which integrate_many evaluates its antiderivative."""
+    """Endpoints at which integrate evaluates its antiderivative."""
     points = []
     make = W._antiderivative
 
@@ -132,75 +136,117 @@ class TestSampleSameAsOriginal:
         assert report.passed and max(report.decay.sup_distance) < 1e-8
 
     def test_quad_calls(self, monkeypatch):
-        # no quadrature at all; one antiderivative evaluation per distinct
-        # endpoint: 8 x 33 arc points, 15 new +s targets (2^-8 lies on the
-        # innermost arc, and +1 is the base point) and 16 -s targets
+        # no quadrature at all; one antiderivative evaluation at the base
+        # point 1 and one per target: 8 x 33 arc points, 16 +s and 16 -s
+        # targets.  Two targets repeat an endpoint (+1 is the base point and
+        # 2^-8 lies on the innermost arc), and each is evaluated again.
         calls = count_quad(monkeypatch)
         points = count_antiderivative(monkeypatch)
         asymptotics.sample_conjugate_end(W.power_end_data(1 / 2))
         assert calls == []
-        assert len(points) == len(set(points)) == 295
-        assert 1.0 in points
+        assert len(points) == 1 + 296
+        assert points[0] == 1.0 and len(set(points)) == 295
 
 
-def random_paths(rng, data, n):
-    """Paths on all three routes, some sharing legs and some repeated."""
-    power = isinstance(data, W.PowerEndData)
-    paths = []
-    for _ in range(n):
-        if power:
-            z0 = 1.0 if rng.uniform() < 0.5 else rng.uniform(0.2, 1.0) * np.exp(
-                1j * rng.uniform(0.0, PI))
-            z = rng.choice([0.5, 0.25, rng.uniform(0.05, 1.0)]) * np.exp(
-                1j * rng.uniform(0.0, PI))
-        else:
-            z0 = 0.0 if rng.uniform() < 0.5 else complex(*rng.uniform(-1, 1, 2))
-            z = complex(*rng.uniform(-2, 2, 2))
-        route = list(Route)[rng.integers(0, 3)]
-        paths.append(IntegrationPath(z0, z, route))
-    return paths + paths[:3]
+def sample_targets(radii, arc, boundary):
+    """The targets of sample_conjugate_end, in its order."""
+    thetas = np.linspace(0.0, PI, arc)
+    s_vals = np.geomspace(1.0, radii[-1], boundary)
+    targets = [rho * np.exp(1j * th) for rho in radii for th in thetas]
+    return targets + list(s_vals) + [complex(-s, 0.0) for s in s_vals]
+
+
+def random_endpoints(rng, data, n):
+    """A base point and n targets, some of them repeated."""
+    if isinstance(data, W.PowerEndData):
+        z0 = 1.0 if rng.uniform() < 0.5 else rng.uniform(0.2, 1.0) * np.exp(
+            1j * rng.uniform(0.0, PI))
+        targets = [rng.choice([0.5, 0.25, rng.uniform(0.05, 1.0)]) * np.exp(
+            1j * rng.uniform(0.0, PI)) for _ in range(n)]
+    else:
+        z0 = 0.0 if rng.uniform() < 0.5 else complex(*rng.uniform(-1, 1, 2))
+        targets = [complex(*rng.uniform(-2, 2, 2)) for _ in range(n)]
+    return z0, targets + targets[:3] + [z0]
+
+
+class TestSameBitsAsPathEngine:
+    """integrate against oracles.integrate_paths, the engine's earlier
+    per-path loop with its endpoint cache: the same bits, the same errors."""
+
+    @pytest.mark.parametrize("alpha,seed,radii,arc,boundary,tol", [
+        (1 / 3, None, DEFAULT, 33, 16, 1e-10), (1 / 2, None, DEFAULT, 33, 16, 1e-10),
+        (2 / 3, None, DEFAULT, 33, 16, 1e-10), (3 / 2, None, DEFAULT, 33, 16, 1e-10),
+        (5 / 2, None, DEFAULT, 33, 16, 1e-10), (5 / 2, None, SHORT, 33, 16, 1e-10),
+        (1 / 3, 1, DEFAULT, 33, 16, 1e-10), (3 / 2, 2, DEFAULT, 33, 16, 1e-10),
+        (2 / 3, 3, SHORT, 33, 16, 1e-10), (5 / 2, 4, SHORT, 33, 16, 1e-10),
+        (1 / 2, 5, (0.9, 0.4, 0.1, 0.03), 7, 9, 1e-10), (1 / 2, 5, SHORT, 9, 10, 1e-8),
+        (1 / 2, 5, SHORT, 4, 2, 1e-12), (1 / 2, 5, (1.0, 0.5, 0.25), 3, 8, 3e-11),
+    ])
+    def test_end_sets(self, alpha, seed, radii, arc, boundary, tol):
+        pe = W.power_end_data(alpha) if seed is None else perturbed(alpha, seed)
+        sample = asymptotics.sample_conjugate_end(pe, radii, arc, boundary, tol)
+        got = np.concatenate([*sample.arc_points, sample.boundary_pos, sample.boundary_neg])
+        paths = [IntegrationPath(1.0, z, Route.RADIAL_THEN_ARC)
+                 for z in sample_targets(radii, arc, boundary)]
+        assert bits(got) == bits(oracles.integrate_paths(sample.data, paths, tol))
+
+    @pytest.mark.parametrize("alpha,seed", [(3.0, None), (3.0, 1), (3.0, 2), (3.0, 3)])
+    def test_same_budget_error(self, alpha, seed):
+        # alpha = 3 spends just over 1e-10 of rounding at 2^-8
+        pe = W.power_end_data(alpha) if seed is None else perturbed(alpha, seed)
+        paths = [IntegrationPath(1.0, z) for z in sample_targets(DEFAULT, 33, 16)]
+        with pytest.raises(QuadratureError) as old:
+            oracles.integrate_paths(W.conjugate_data(pe), paths)
+        with pytest.raises(QuadratureError) as new:
+            asymptotics.sample_conjugate_end(pe)
+        assert str(new.value) == str(old.value)
+        assert bits(new.value.achieved) == bits(old.value.achieved)
 
 
 class TestIntegrateSameAsOriginal:
     @pytest.mark.parametrize("route", list(Route))
     def test_single_path_every_route(self, route):
+        # the endpoint value is the quadrature along any route
         rng = np.random.default_rng(11)
         for _ in range(8):
             pe = perturbed(float(rng.choice([1 / 3, 0.5, 1.5, 2.0])), int(rng.integers(100)))
             z = rng.uniform(0.1, 1.0) * np.exp(1j * rng.uniform(0.0, PI))
-            path = IntegrationPath(1.0, z, route)
-            assert_within(integrate(pe, path, 1e-11), oracles.integrate(pe, path, 1e-11), 1e-11)
+            assert_within(integrate(pe, 1.0, [z], 1e-11)[0],
+                          oracles.integrate(pe, IntegrationPath(1.0, z, route), 1e-11), 1e-11)
             data = W.ExponentialData(rng.uniform(0.1, 2.0), 1j ** rng.integers(0, 4))
-            path = IntegrationPath(complex(*rng.uniform(-1, 1, 2)), complex(*rng.uniform(-2, 2, 2)),
-                                   route)
-            assert_within(integrate(data, path), oracles.integrate(data, path), 1e-10)
+            z0, z = complex(*rng.uniform(-1, 1, 2)), complex(*rng.uniform(-2, 2, 2))
+            assert_within(integrate(data, z0, [z])[0],
+                          oracles.integrate(data, IntegrationPath(z0, z, route)), 1e-10)
 
     @pytest.mark.parametrize("data", [
         W.catenoid_data(0.7), W.helicoid_data(-0.2), W.power_end_data(0.5),
         perturbed(2 / 3, 6), W.power_end_data(2.0, g0=1.0, w1=(0.0, 0.03)),
     ], ids=["catenoid", "helicoid", "unperturbed", "perturbed", "integer-alpha"])
     def test_many_paths(self, data):
-        # a path in a batch gives the same bits as on its own
-        paths = random_paths(np.random.default_rng(12), data, 12)
-        got = integrate_many(data, paths, 1e-10)
-        assert len(got) == len(paths)
-        for value, path in zip(got, paths):
-            assert bits(value) == bits(integrate(data, path, 1e-10))
-            assert_within(value, oracles.integrate(data, path, 1e-10), 1e-10)
+        # a batch of endpoints gives the bits of the per-path engine, and
+        # each value is the quadrature along a route
+        rng = np.random.default_rng(12)
+        for _ in range(4):
+            z0, targets = random_endpoints(rng, data, 12)
+            got = integrate(data, z0, targets, 1e-10)
+            assert got.shape == (len(targets), 3)
+            want = oracles.integrate_paths(data, [IntegrationPath(z0, z) for z in targets])
+            assert bits(got) == bits(want)
+            route = list(Route)[rng.integers(0, 3)]
+            for value, z in zip(got, targets):
+                path = IntegrationPath(z0, z, route)
+                assert_within(value, oracles.integrate(data, path, 1e-10), 1e-10)
 
-    def test_zero_sign_kept_apart(self, monkeypatch):
+    def test_zero_sign_kept_apart(self):
         # targets that differ only in the sign of a zero imaginary part lie
-        # on the same side of the cut: one evaluation serves both, and each
+        # on the same side of the cut: they give the same bits, and each
         # matches its own quadrature
-        points = count_antiderivative(monkeypatch)
         for data, x in ((W.catenoid_data(0.7), 0.5), (W.power_end_data(0.5), 0.5),
                         (W.power_end_data(0.5), -0.5)):
-            paths = [IntegrationPath(1.0, complex(x, 0.0), Route.RADIAL_THEN_ARC),
-                     IntegrationPath(1.0, complex(x, -0.0), Route.RADIAL_THEN_ARC)]
-            points.clear()
-            got = integrate_many(data, paths)
-            assert len(points) == 2
-            for value, path in zip(got, paths):
+            targets = [complex(x, 0.0), complex(x, -0.0)]
+            got = integrate(data, 1.0, targets)
+            for value, z in zip(got, targets):
+                path = IntegrationPath(1.0, z, Route.RADIAL_THEN_ARC)
                 assert_within(value, oracles.integrate(data, path), 1e-10)
             assert bits(got[0]) == bits(got[1])
 
@@ -208,29 +254,48 @@ class TestIntegrateSameAsOriginal:
         # z^{-17/5} down to |z| = 1e-8: the terms reach about 3e18, so
         # rounding alone spends about 7e2 of an absolute tol of 1e-10
         pe = W.power_end_data(2.4)
-        paths = [IntegrationPath(1.0, 0.5 + 0j), IntegrationPath(1.0, 1e-8 + 0j)]
         with pytest.raises(QuadratureError):
-            oracles.integrate(pe, paths[1])
+            oracles.integrate(pe, IntegrationPath(1.0, 1e-8 + 0j))
         with pytest.raises(QuadratureError, match="rounding budget") as new:
-            integrate_many(pe, paths)
+            integrate(pe, 1.0, [0.5, 1e-8])
         assert 5e2 < new.value.achieved < 1e3
-        assert integrate_many(pe, paths, 1e3)[1].shape == (3,)
+        assert integrate(pe, 1.0, [0.5, 1e-8], 1e3).shape == (2, 3)
 
     def test_invalid_path_in_batch(self):
         pe = W.power_end_data(0.5)
-        with pytest.raises(ValueError):
-            integrate_many(pe, [IntegrationPath(1.0, 0.5 + 0j),
-                                IntegrationPath(1.0, 0.5 - 0.5j)])
-        assert integrate_many(pe, []) == []
+        with pytest.raises(ValueError, match="outside the closed upper half-disk"):
+            integrate(pe, 1.0, [0.5 + 0j, 0.5 - 0.5j])
+        assert integrate(pe, 1.0, []).shape == (0, 3)
+
+    @pytest.mark.parametrize("data", [W.catenoid_data(0.7), W.power_end_data(0.5)],
+                             ids=["exponential", "power-end"])
+    @pytest.mark.parametrize("bad", [complex(math.nan, 0.0), complex(math.inf, 0.0),
+                                     complex(-math.inf, 0.0), complex(0.0, math.inf),
+                                     complex(0.5, math.nan)],
+                             ids=["nan", "inf", "-inf", "infj", "nanj"])
+    @pytest.mark.parametrize("as_base", [True, False], ids=["z0", "target"])
+    def test_non_finite_endpoint(self, data, bad, as_base):
+        # an input error, named before any budget is spent: the other
+        # target, 1000, overflows the exponential data
+        other = 1000.0 + 0j if isinstance(data, W.ExponentialData) else 0.5 + 0j
+        z0, targets = (bad, [other]) if as_base else (0.5, [other, bad])
+        with pytest.raises(ValueError, match="endpoint .* is not finite"):
+            integrate(data, z0, targets)
+
+    @pytest.mark.parametrize("data", [W.catenoid_data(0.7), W.power_end_data(0.5)],
+                             ids=["exponential", "power-end"])
+    def test_chord_through_the_puncture_is_an_endpoint_pair(self, data):
+        # only the endpoints count: 0.5 -> -0.5 is valid for both data
+        # kinds, whatever the straight route between them would cross
+        got = integrate(data, 0.5, [-0.5 + 0j])[0]
+        path = IntegrationPath(0.5, -0.5 + 0j, Route.RADIAL_THEN_ARC)
+        assert_within(got, oracles.integrate(data, path), 1e-10)
 
     @pytest.mark.parametrize("tol", [0.0, -1.0, math.inf, math.nan])
     def test_tol_domain(self, tol):
         pe = W.power_end_data(0.5)
-        path = IntegrationPath(1.0, 0.5 + 0j)
         with pytest.raises(ValueError, match="tol"):
-            integrate(pe, path, tol)
-        with pytest.raises(ValueError, match="tol"):
-            integrate_many(pe, [path], tol)
+            integrate(pe, 1.0, [0.5], tol)
 
 
 # report fields computed from the data alone, never from a sampled point
@@ -350,14 +415,13 @@ class TestClosedForm:
         # nearly cancels at both ends; the expm1 form keeps the budget small
         pe = W.power_end_data(1.0 + offset, g0=1.0, w1=(0.01, -0.005))
         for z in (0.3 + 0.4j, -0.05 + 0.01j, 1e-3j):
-            path = IntegrationPath(1.0, z)
-            assert_within(integrate(pe, path, 1e-10), oracles.integrate(pe, path, 1e-11),
-                          1e-10)
+            assert_within(integrate(pe, 1.0, [z], 1e-10)[0],
+                          oracles.integrate(pe, IntegrationPath(1.0, z), 1e-11), 1e-10)
 
     def test_overflow_is_a_budget_error(self):
         pe = W.power_end_data(2.5)
         with pytest.raises(QuadratureError) as err:
-            integrate(pe, IntegrationPath(1.0, 1e-200 + 0j))
+            integrate(pe, 1.0, [1e-200 + 0j])
         assert err.value.achieved == math.inf
         with pytest.raises(QuadratureError):
-            integrate(W.catenoid_data(1.0), IntegrationPath(0.0, 1000.0 + 0j))
+            integrate(W.catenoid_data(1.0), 0.0, [1000.0 + 0j])

@@ -59,7 +59,7 @@ class TestCatenoid:
         data = W.catenoid_data(lam)
         base = np.array([-2 * lam, 0.0, 0.0])  # chosen image of 0
         for z in (0j, 1j * PI, 0.7 + 0j, -1.2 + 0.4j):
-            disp = W.integrate(data, W.IntegrationPath(0.0, z, W.Route.STRAIGHT), 1e-11)
+            disp = W.integrate(data, 0.0, [z], 1e-11)[0]
             want = catenoid_point(lam, z.real, z.imag)
             assert np.allclose(base + disp, want, atol=1e-9)
 
@@ -246,9 +246,7 @@ class TestSurfaceGrid:
         diffs = []
         for x in xs:
             for y in ys:
-                got = W.integrate(
-                    data, W.IntegrationPath(0.0, complex(x, y), W.Route.STRAIGHT), 1e-10
-                )
+                got = W.integrate(data, 0.0, [complex(x, y)], 1e-10)[0]
                 diffs.append(got - helicoid_point(lam, x, y))
         diffs = np.array(diffs)
         translation = diffs.mean(axis=0)
