@@ -38,7 +38,7 @@ from .lines import (
 from .params import PitchConvention, ray_distance_h, reduced_angle
 from .weierstrass import (
     PowerEndData,
-    branch_arg,
+    branch_log,
     conjugate_data,
     correction_bound,
     gauss_normal,
@@ -54,6 +54,13 @@ HORIZONTAL_TOL = 1e-6
 FIT_RESIDUAL_TOL = 1e-3
 CONTAINMENT_FLOOR = 1e-8
 GAP_TOL = 1e-6
+
+
+def _targets(radii, thetas, pos_s=(), neg_s=()) -> np.ndarray:
+    """The points of an end in sample order: rho e^{i theta} on each arc,
+    then +s and -s (a real rho times a complex rounds each part once)."""
+    arcs = np.asarray(radii, dtype=float)[:, None] * np.exp(1j * thetas)
+    return np.concatenate([arcs.ravel(), pos_s, -np.asarray(neg_s)])
 
 
 @dataclass(frozen=True)
@@ -100,9 +107,7 @@ def sample_conjugate_end(
     conj = conjugate_data(data)
     thetas = np.linspace(0.0, math.pi, samples_per_arc)
     s_vals = np.geomspace(1.0, radii[-1], boundary_samples)
-    targets = [rho * np.exp(1j * th) for rho in radii for th in thetas]
-    targets += list(s_vals) + [complex(-s, 0.0) for s in s_vals]
-    points = integrate(conj, 1.0, targets, tol)
+    points = integrate(conj, 1.0, _targets(radii, thetas, s_vals, s_vals), tol)
     m, n = samples_per_arc, len(radii) * samples_per_arc
     arcs = [points[k : k + m] for k in range(0, n, m)]
     pos = points[n : n + boundary_samples]
@@ -134,11 +139,6 @@ class SlabReport:
     passed: bool
 
 
-def _principal_third(coef: complex, z: complex) -> float:
-    """Principal part, log coefficient coef, of the third coordinate at z."""
-    return (coef * (math.log(abs(z)) + 1j * branch_arg(z))).real
-
-
 def check_slab(sample: EndSample) -> SlabReport:
     """Slab containment: third coordinate minus principal term is bounded.
 
@@ -148,16 +148,11 @@ def check_slab(sample: EndSample) -> SlabReport:
     rays are from being horizontal (their third-coordinate spread).
     """
     coef = principal_log_coefficient(sample.data)
-    residuals = []
-    for rho, arc in zip(sample.radii, sample.arc_points):
-        for th, pt in zip(sample.arc_angles, arc):
-            z = rho * np.exp(1j * th)
-            residuals.append(pt[2] - _principal_third(coef, z))
-    for s, pt in zip(sample.boundary_pos_s, sample.boundary_pos):
-        residuals.append(pt[2] - _principal_third(coef, complex(s)))
-    for s, pt in zip(sample.boundary_neg_s, sample.boundary_neg):
-        residuals.append(pt[2] - _principal_third(coef, complex(-s, 0.0)))
-    residuals = np.array(residuals)
+    log_r, theta = branch_log(_targets(
+        sample.radii, sample.arc_angles, sample.boundary_pos_s, sample.boundary_neg_s))
+    third = np.concatenate([*sample.arc_points, sample.boundary_pos, sample.boundary_neg])[:, 2]
+    # the principal part Re(coef log z), the product taken on parts
+    residuals = third - (coef.real * log_r - coef.imag * theta)
     bound_2c = 2.0 * correction_bound(sample.data)
     width = float(residuals.max() - residuals.min())
     spread = max(
@@ -453,17 +448,11 @@ class NormalLimitReport:
 
 def normal_limit_report(sample: EndSample) -> NormalLimitReport:
     """Deviation |N - (0,0,-1)| on the outermost and innermost arcs."""
-    down = np.array([0.0, 0.0, -1.0])
-
-    def max_dev(rho: float) -> float:
-        devs = [
-            np.linalg.norm(gauss_normal(sample.data, rho * np.exp(1j * th)) - down)
-            for th in sample.arc_angles
-        ]
-        return float(max(devs))
-
-    outer = max_dev(sample.radii[0])
-    inner = max_dev(sample.radii[-1])
+    z = _targets((sample.radii[0], sample.radii[-1]), sample.arc_angles)
+    d = (gauss_normal(sample.data, z) - np.array([0.0, 0.0, -1.0]))[:, None, :]
+    # each row's norm as np.linalg.norm takes one vector: sqrt of its dot product
+    devs = np.sqrt(d @ d.transpose(0, 2, 1)).reshape(2, -1)
+    outer, inner = (float(dev) for dev in devs.max(axis=1))
     return NormalLimitReport(outer, inner, passed=inner < outer and inner < 0.5)
 
 

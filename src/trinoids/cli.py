@@ -156,15 +156,14 @@ def cmd_constellation(args) -> int:
     _emit(doc, "constellation.schema.json", args.json, args.force)
     if args.emit_obj and solutions:
         segments = [line for c in solutions for line in c.lines()]
+        patches = []
         if args.patches:
             patches = [
                 constellation.frame_patch(frame, phis[i], convention)
                 for c in solutions
                 for i, (_, _, frame) in enumerate(c.pairs())
             ]
-            text = emit.obj_from_segments_and_patches(segments, patches, args.box)
-        else:
-            text = emit.obj_from_segments(segments, args.box)
+        text = emit.obj_from_segments_and_patches(segments, patches, args.box)
         emit.write_text(args.emit_obj, text, args.force)
     return EXIT_OK if solutions else EXIT_NEGATIVE
 

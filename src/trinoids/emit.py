@@ -114,11 +114,6 @@ def _segments(lines_in: Iterable[OrientedLine], box: float) -> tuple[str, int]:
     return "".join(out), vertex_count
 
 
-def obj_from_segments(lines_in: Iterable[OrientedLine], box: float = 10.0) -> str:
-    """OBJ line elements for oriented lines clipped to [-box, box]^3."""
-    return _segments(lines_in, box)[0]
-
-
 def obj_from_segments_and_patches(lines_in: Iterable[OrientedLine],
                                   patches: Sequence[np.ndarray],
                                   box: float = 10.0) -> str:

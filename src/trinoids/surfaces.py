@@ -191,16 +191,19 @@ def ball_to_halfspace(p) -> np.ndarray:
     return np.stack([2.0 * y1 / e, 2.0 * y2 / e, (1.0 - n2) / e], axis=-1)
 
 
-def gauss_normal_from_g(g: complex) -> np.ndarray:
-    """Unit normal as the inverse stereographic projection of g.
+def gauss_normal_from_g(g) -> np.ndarray:
+    """Unit normals, shape g.shape + (3,), as the inverse stereographic
+    projection of g.
 
     N = (2 Re g, 2 Im g, |g|^2 - 1) / (|g|^2 + 1); g = 0 maps to (0, 0, -1)
-    and a pole of g to (0, 0, 1).
+    and a pole of g (non-finite, or |g| > 1e150) to (0, 0, 1).
     """
-    if not np.isfinite(g.real) or not np.isfinite(g.imag) or abs(g) > 1e150:
-        return np.array([0.0, 0.0, 1.0])
-    m2 = g.real * g.real + g.imag * g.imag
-    return np.array([2.0 * g.real, 2.0 * g.imag, m2 - 1.0]) / (m2 + 1.0)
+    g = np.asarray(g, dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        m2 = g.real * g.real + g.imag * g.imag
+        normals = np.stack([2.0 * g.real, 2.0 * g.imag, m2 - 1.0], -1) / (m2 + 1.0)[..., None]
+    normals[~np.isfinite(g) | (np.hypot(g.real, g.imag) > 1e150)] = (0.0, 0.0, 1.0)
+    return normals
 
 
 @dataclass(frozen=True)

@@ -15,21 +15,25 @@ Two catalog data kinds are supported:
   D = {0 < |z| <= 1, Im z >= 0}, with polynomial perturbations g1, w1 and
   the compatibility constraint g0 * w0 = (1 - alpha^2)/(4 alpha).
 
-Powers z^alpha use the principal branch with the cut along the negative
-imaginary axis (arg in [-pi/2, 3*pi/2)), so D is cut-free.  Every path
-integral is F(target) - F(z0) with F a closed-form antiderivative on that
-branch: z^p integrates to z^{p+1}/(p+1), z^{-1} to the branch logarithm,
-and the exponential data to hyperbolic functions.  So an integral depends
-only on its endpoints, and those must lie in the domain.
+Powers z^alpha use the branch of branch_log, whose cut runs along the
+negative imaginary axis (arg in [-pi/2, 3*pi/2)), so D is cut-free.  Every
+path integral is F(target) - F(z0) with F a closed-form antiderivative on
+that branch: z^p integrates to z^{p+1}/(p+1), z^{-1} to the branch
+logarithm, and the exponential data to hyperbolic functions.  So an
+integral depends only on its endpoints, and those must lie in the domain.
+
+F, g and the normals are evaluated over arrays of points, bit for bit as
+cmath takes them one point at a time: complex products are written on real
+parts, and exp, expm1, cosh, sinh, log, atan2 and pow are the math
+module's, called per point, because numpy's versions differ in the last bit.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 from scipy.integrate import quad  # noqa: F401  unused; bench/ wraps it (ROADMAP item 1)
@@ -42,6 +46,8 @@ _I_POWERS = (1 + 0j, 1j, -1 + 0j, -1j)
 # tends to log z instead of growing like 1/(p+1) as p + 1 -> 0
 _EXPM1_BELOW = 0.5
 _EPS = sys.float_info.epsilon
+# above this real part cmath's exp, cosh and sinh rescale by e (CM_LOG_LARGE_DOUBLE)
+_LOG_LARGE = math.log(sys.float_info.max / 4.0)
 
 
 class QuadratureError(RuntimeError):
@@ -53,29 +59,45 @@ class QuadratureError(RuntimeError):
         self.achieved = achieved
 
 
-def branch_arg(z: complex) -> float:
-    """Argument in [-pi/2, 3*pi/2): cut along the negative imaginary axis."""
-    theta = cmath.phase(z)
-    if theta < -math.pi / 2:
-        theta += 2.0 * math.pi
-    return theta
+def _libm(f, *args: np.ndarray) -> np.ndarray:
+    """The math function f at each point of args; inf where it overflows."""
+    def at(*x: float) -> float:
+        try:
+            return f(*x)
+        except OverflowError:
+            return math.inf
+    flat = [np.ravel(a).tolist() for a in args]
+    return np.array(list(map(at, *flat)), dtype=float).reshape(np.shape(args[0]))
 
 
-def branch_power(z: complex, p: float) -> complex:
-    """z^p on the branch of branch_arg; 0^p = 0 for p > 0."""
-    if z == 0:
-        if p > 0:
-            return 0.0 + 0.0j
-        raise ZeroDivisionError("0 raised to a non-positive power")
-    r = abs(z)
-    return cmath.exp(p * (math.log(r) + 1j * branch_arg(z)))
+def _mul(ar, ai, br, bi):
+    """(ar + i ai)(br + i bi) on parts: numpy's complex arrays may fuse."""
+    return ar * br - ai * bi, ar * bi + ai * br
 
 
-def branch_log(z: complex) -> complex:
-    """log z on the branch of branch_arg."""
-    if z == 0:
+def _rescaled(f, x: np.ndarray, big: np.ndarray):
+    """f(x) as cmath's exp, cosh and sinh take it: f(x - sign x) and a
+    factor e where big; cmath raises OverflowError where a result part is
+    infinite."""
+    return _libm(f, np.where(big, x - np.copysign(1.0, x), x)), np.where(big, math.e, 1.0)
+
+
+def _exp(wr: np.ndarray, wi: np.ndarray):
+    """cmath.exp(wr + i wi) on parts."""
+    scale, e = _rescaled(math.exp, wr, wr > _LOG_LARGE)
+    return scale * np.cos(wi) * e, scale * np.sin(wi) * e
+
+
+def branch_log(z) -> Tuple[np.ndarray, np.ndarray]:
+    """(log|z|, arg z) for each z != 0, with arg in [-pi/2, 3*pi/2): the
+    cut runs along the negative imaginary axis."""
+    z = np.asarray(z, dtype=complex)
+    if np.any(z == 0):
         raise ZeroDivisionError("log 0")
-    return math.log(abs(z)) + 1j * branch_arg(z)
+    theta = _libm(math.atan2, z.imag, z.real)
+    # + 0.0: CPython's log|z| + 1j * arg z drops the sign of a zero argument
+    theta = np.where(theta < -math.pi / 2, theta + 2.0 * math.pi, theta) + 0.0
+    return _libm(math.log, np.hypot(z.real, z.imag)), theta
 
 
 def _check_omega_factor(c: complex) -> complex:
@@ -175,19 +197,10 @@ def conjugate_data(data: WeierstrassData) -> WeierstrassData:
     )
 
 
-def _in_upper_half_disk(z: complex) -> bool:
-    return 0 < abs(z) <= 1.0 + 1e-12 and z.imag >= -1e-15
-
-
-def _poly_coeffs(data: PowerEndData) -> Tuple[np.ndarray, np.ndarray]:
-    P = np.array([data.g0, *data.g1], dtype=complex)
-    Q = np.array([data.w0, *data.w1], dtype=complex)
-    return P, Q
-
-
 def _monomial_components(data: PowerEndData) -> List[List[Tuple[complex, float]]]:
     """Monomial lists [(coef, power), ...] for the three integrand components."""
-    P, Q = _poly_coeffs(data)
+    P = np.array([data.g0, *data.g1], dtype=complex)
+    Q = np.array([data.w0, *data.w1], dtype=complex)
     P2Q = np.convolve(np.convolve(P, P), Q)
     PQ = np.convolve(P, Q)
     c = data.omega_factor
@@ -203,56 +216,69 @@ def _monomial_components(data: PowerEndData) -> List[List[Tuple[complex, float]]
 def _power_terms(data: PowerEndData):
     """Log coefficients and [(q, [(component, coef / q), ...]), ...] of the
     three components: coef z^p integrates to coef z^q / q with q = p + 1,
-    and p = -1 to coef log z.  Monomials with equal q are merged."""
+    and p = -1 to coef log z.  Monomials with equal q are merged.
+    ValueError if a coefficient overflows."""
     log_coefs = [0j, 0j, 0j]
     by_q: Dict[float, Dict[int, complex]] = {}
-    for i, monomials in enumerate(_monomial_components(data)):
-        for coef, power in monomials:
-            if abs(power + 1.0) <= 1e-12:
-                log_coefs[i] += coef
-            elif coef != 0:
-                terms = by_q.setdefault(power + 1.0, {})
-                terms[i] = terms.get(i, 0j) + coef
-    return log_coefs, [
-        (q, [(i, coef / q) for i, coef in terms.items()]) for q, terms in by_q.items()
-    ]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, monomials in enumerate(_monomial_components(data)):
+            for coef, power in monomials:
+                if abs(power + 1.0) <= 1e-12:
+                    log_coefs[i] += coef
+                elif coef != 0:
+                    terms = by_q.setdefault(power + 1.0, {})
+                    terms[i] = terms.get(i, 0j) + coef
+        powers = [
+            (q, [(i, coef / q) for i, coef in terms.items()]) for q, terms in by_q.items()
+        ]
+    if not np.all(np.isfinite(log_coefs + [c for _, terms in powers for _, c in terms])):
+        raise ValueError("the data coefficients g0, w0, g1, w1 are too large: "
+                         "the coefficients of the integrands overflow")
+    return log_coefs, powers
 
 
-def _expm1(w: complex) -> complex:
-    """exp(w) - 1 without cancellation near w = 0 (cmath has no expm1)."""
-    em1 = math.expm1(w.real)
-    half_sin = math.sin(0.5 * w.imag)
-    return complex(em1 * math.cos(w.imag) - 2.0 * half_sin * half_sin,
-                   math.exp(w.real) * math.sin(w.imag))
-
-
-def _antiderivative(data: WeierstrassData) -> Callable[[complex], Tuple[list, list]]:
-    """z -> (F(z), sizes): the antiderivatives of the three components and,
-    per component, the sum of the magnitudes of the terms summed into it."""
-    if isinstance(data, ExponentialData):
-        c = 2.0 * data.omega_factor * data.lam
-
-        def exponential(z: complex) -> Tuple[list, list]:
-            values = [-c * cmath.cosh(z), 1j * c * cmath.sinh(z), c * z]
-            return values, [abs(v) for v in values]
-
-        return exponential
-
-    log_coefs, powers = _power_terms(data)
-
-    def power_end(z: complex) -> Tuple[list, list]:
-        log_z = branch_log(z)
-        values = [lc * log_z for lc in log_coefs]
-        sizes = [abs(v) for v in values]
+def _antiderivative(data: WeierstrassData, z: np.ndarray):
+    """(Re F, sizes, overflows) at the points z, a 1-D complex array: F
+    (3, n) are the antiderivatives of the three components, sizes (3, n)
+    per component the summed magnitudes of its terms, and overflows (n,)
+    the points where the one-point cmath form raises OverflowError."""
+    zr, zi = z.real, z.imag
+    with np.errstate(over="ignore", invalid="ignore"):
+        if isinstance(data, ExponentialData):
+            # cmath.cosh and cmath.sinh on parts
+            big = np.abs(zr) > _LOG_LARGE
+            (ch, e), (sh, _) = _rescaled(math.cosh, zr, big), _rescaled(math.sinh, zr, big)
+            cos, sin = np.cos(zi), np.sin(zi)
+            cosh, sinh = (cos * ch * e, sin * sh * e), (cos * sh * e, sin * ch * e)
+            c = 2.0 * data.omega_factor * data.lam
+            ic = 1j * c
+            values = np.array([_mul(-c.real, -c.imag, *cosh), _mul(ic.real, ic.imag, *sinh),
+                               _mul(c.real, c.imag, zr, zi)])
+            sizes = np.hypot(values[:, 0], values[:, 1])
+            # abs() of a complex raises where finite parts have an infinite size
+            overflows = np.isinf([*cosh, *sinh]).any(axis=0) | (
+                np.isinf(sizes) & np.isfinite(values).all(axis=1)).any(axis=0)
+            return values[:, 0], sizes, overflows
+        log_coefs, powers = _power_terms(data)
+        log_r, theta = branch_log(z)
+        values = np.array([_mul(lc.real, lc.imag, log_r, theta) for lc in log_coefs])
+        re, sizes = values[:, 0], np.hypot(values[:, 0], values[:, 1])
+        overflows = np.zeros(len(z), dtype=bool)
         for q, terms in powers:
-            w = _expm1(q * log_z) if abs(q) < _EXPM1_BELOW else cmath.exp(q * log_z)
+            # q * log z as CPython multiplies a float by a complex
+            wr, wi = q * log_r - 0.0 * theta, q * theta + 0.0 * log_r
+            if abs(q) < _EXPM1_BELOW:  # exp(w) - 1 without cancellation near w = 0
+                half_sin = np.sin(0.5 * wi)
+                er = _libm(math.expm1, wr) * np.cos(wi) - 2.0 * half_sin * half_sin
+                ei = _libm(math.exp, wr) * np.sin(wi)
+            else:
+                er, ei = _exp(wr, wi)
+            overflows |= np.isinf(er) | np.isinf(ei)
             for i, coef in terms:
-                t = coef * w
-                values[i] += t
-                sizes[i] += abs(t)
-        return values, sizes
-
-    return power_end
+                tr, ti = _mul(coef.real, coef.imag, er, ei)
+                re[i] += tr
+                sizes[i] += np.hypot(tr, ti)
+    return re, sizes, overflows
 
 
 def integrate(
@@ -261,42 +287,39 @@ def integrate(
     """Immersion displacements Re(F(z) - F(z0)), one row per target z.
 
     F is the closed-form antiderivative of the three integrands on the
-    branch of branch_arg, evaluated once at z0 and once per target.  Each
+    branch of branch_log, evaluated at z0 and all targets at once.  Each
     component's rounding budget, eps times the summed magnitudes of its
     terms at both endpoints, must not exceed tol; otherwise (and when F
-    overflows) QuadratureError carries the budget.  ValueError for a tol
-    outside (0, inf), a non-finite endpoint and, for PowerEndData, an
-    endpoint outside the closed upper half-disk.
+    overflows) QuadratureError, for the first failing endpoint, carries the
+    budget.  ValueError for a tol outside (0, inf), a non-finite endpoint
+    and, for PowerEndData, an endpoint outside the closed upper half-disk.
     """
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must lie in (0, inf), got {tol}")
-    z0 = complex(z0)
-    targets = [complex(z) for z in targets]
-    power_end = isinstance(data, PowerEndData)
-    for z in (z0, *targets):
-        if not cmath.isfinite(z):
-            raise ValueError(f"endpoint {z} is not finite")
-        if power_end and not _in_upper_half_disk(z):
-            raise ValueError(f"PowerEnd endpoint {z} lies outside the closed upper half-disk")
-    antiderivative = _antiderivative(data)
-
-    def at(z: complex) -> Tuple[list, list]:
-        try:
-            return antiderivative(z)
-        except OverflowError:
-            raise QuadratureError(
-                f"closed-form integral overflows at z = {z}", math.inf
-            ) from None
-
-    f0, s0 = at(z0)
-    out = np.empty((len(targets), 3))
-    for k, z in enumerate(targets):
-        f1, s1 = at(z)
-        budget = _EPS * max(s0[0] + s1[0], s0[1] + s1[1], s0[2] + s1[2])
-        if not budget <= tol:
-            raise QuadratureError(f"rounding budget exceeds tol = {tol:.3e}", budget)
-        out[k] = (f1[0] - f0[0]).real, (f1[1] - f0[1]).real, (f1[2] - f0[2]).real
-    return out
+    z = np.concatenate(([complex(z0)], np.asarray(targets, dtype=complex).ravel()))
+    bad = ~np.isfinite(z)
+    if isinstance(data, PowerEndData):
+        r = np.hypot(z.real, z.imag)
+        bad |= ~((0 < r) & (r <= 1.0 + 1e-12) & (z.imag >= -1e-15))
+    if bad.any():
+        zk = complex(z[np.argmax(bad)])
+        if not np.isfinite(zk):
+            raise ValueError(f"endpoint {zk} is not finite")
+        raise ValueError(f"PowerEnd endpoint {zk} lies outside the closed upper half-disk")
+    re, sizes, overflows = _antiderivative(data, z)
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = sizes[:, :1] + sizes[:, 1:]
+        # eps * max(s[0], s[1], s[2]) as Python's max takes it, NaN included
+        largest = np.where(s[1] > s[0], s[1], s[0])
+        budget = _EPS * np.where(s[2] > largest, s[2], largest)
+        failed = overflows | np.concatenate(([False], ~(budget <= tol)))
+    if failed.any():
+        k = int(np.argmax(failed))
+        if overflows[k]:
+            raise QuadratureError(f"closed-form integral overflows at z = {complex(z[k])}",
+                                  math.inf)
+        raise QuadratureError(f"rounding budget exceeds tol = {tol:.3e}", float(budget[k - 1]))
+    return np.ascontiguousarray((re[:, 1:] - re[:, :1]).T)
 
 
 def principal_log_coefficient(data: PowerEndData) -> complex:
@@ -332,21 +355,47 @@ def correction_bound(data: PowerEndData) -> float:
     return float(2.0 * sum(abs(c) / (k + 1.0) for k, c in enumerate(rho)))
 
 
-def g_value(data: WeierstrassData, z: complex) -> complex:
-    """Gauss map g at z (branch-aware for PowerEndData)."""
-    z = complex(z)
-    if isinstance(data, ExponentialData):
-        return cmath.exp(z)
-    if z == 0:
-        return 0j
-    poly = data.g0
-    for k, c in enumerate(data.g1, start=1):
-        poly += c * z**k
-    return branch_power(z, data.alpha) * poly
+def _int_power(zr: np.ndarray, zi: np.ndarray, k: int):
+    """z**k on parts as CPython takes it: by squaring for k <= 100, through
+    pow and atan2 above."""
+    if k > 100:
+        size = _libm(lambda r: math.pow(r, k), np.hypot(zr, zi))
+        phase = _libm(math.atan2, zi, zr) * k
+        return size * np.cos(phase), size * np.sin(phase)
+    r, p = (1.0, 0.0), (zr, zi)
+    while k:
+        if k & 1:
+            r = _mul(*r, *p)
+        k >>= 1
+        p = _mul(*p, *p)
+    return r
 
 
-def gauss_normal(data: WeierstrassData, z: complex) -> np.ndarray:
-    """Unit normal at z: inverse stereographic projection of g(z).
+def g_value(data: WeierstrassData, z) -> np.ndarray:
+    """Gauss map g at each z, in the shape of z (branch-aware for
+    PowerEndData, where g(0) = 0)."""
+    z = np.asarray(z, dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if isinstance(data, ExponentialData):
+            gr, gi = _exp(z.real, z.imag)
+        else:
+            pr, pi = data.g0.real, data.g0.imag
+            for k, c in enumerate(data.g1, start=1):
+                tr, ti = _mul(c.real, c.imag, *_int_power(z.real, z.imag, k))
+                pr, pi = pr + tr, pi + ti
+            nonzero = z != 0
+            log_r, theta = branch_log(np.where(nonzero, z, 1.0))
+            a = data.alpha  # z^alpha = exp(alpha log z), alpha * log z as CPython takes it
+            gr, gi = _mul(*_exp(a * log_r - 0.0 * theta, a * theta + 0.0 * log_r), pr, pi)
+            gr, gi = np.where(nonzero, gr, 0.0), np.where(nonzero, gi, 0.0)
+    g = np.empty(z.shape, dtype=complex)
+    g.real, g.imag = gr, gi
+    return g[()]
+
+
+def gauss_normal(data: WeierstrassData, z) -> np.ndarray:
+    """Unit normal at each z, shape z.shape + (3,): inverse stereographic
+    projection of g(z).
 
     g = 0 gives (0, 0, -1); as z -> 0 a PowerEnd normal tends to (0, 0, -1).
     """

@@ -1,18 +1,29 @@
 """Independent oracles shared by the test modules.
 
-These deliberately avoid the code paths they check: displacement oracles
-take one branch power per monomial and numpy's cosh and sinh, unmerged and
-with no expm1 form, the direction oracle is a dense grid search on the
-sphere instead of a triangle solve, the emitter oracles format one float
-at a time instead of a whole array at once, the classification oracles
-write out each slack formula and membership rule separately, and the
-end-sampling oracles integrate every path on its own by adaptive
-quadrature, one monomial power at a time, the correction integral by
-quadrature, the endpoint-engine reference keeps the old per-path loop and
-endpoint cache around the program's antiderivative, the helicoid distance oracle loops over points one at a time,
-the constellation oracles take every cross product with np.cross and check
-frames in exact rational arithmetic, and the command-line oracle builds its
-parser and checks each schema anew on every call.
+These deliberately avoid the code paths they check:
+
+* displacement oracles take one branch power per monomial and numpy's cosh
+  and sinh, unmerged and with no expm1 form;
+* the frozen scalar engine keeps the program's earlier one-point-at-a-time
+  branch functions, expm1 form, antiderivative, check_slab and
+  normal_limit_report, written with cmath and math; the program evaluates
+  the same formulas over arrays and must give the same bits;
+* the end-sampling oracles integrate every path on its own by adaptive
+  quadrature, one monomial power at a time, with the frozen branch
+  functions; the correction integral is taken by quadrature too;
+* the endpoint-engine reference keeps the old per-path loop and endpoint
+  cache around the frozen antiderivative;
+* the direction oracle is a dense grid search on the sphere instead of a
+  triangle solve;
+* the emitter oracles format one float at a time instead of a whole array
+  at once;
+* the classification oracles write out each slack formula and membership
+  rule separately;
+* the helicoid distance oracle loops over points one at a time;
+* the constellation oracles take every cross product with np.cross and
+  check frames in exact rational arithmetic;
+* the command-line oracle builds its parser and checks each schema anew on
+  every call.
 """
 
 import cmath
@@ -42,18 +53,170 @@ from trinoids.lines import PARALLEL_TOL, OrientedLine, unit
 from trinoids.params import PitchConvention, lambda_of_phi, pitch_coefficient, ray_distance_h
 from trinoids.weierstrass import (
     _EPS,
+    _EXPM1_BELOW,
     ExponentialData,
     PowerEndData,
     QuadratureError,
-    branch_log,
-    branch_power,
-    conjugate_data,
-    correction_coefficients,
-    _antiderivative,
-    _in_upper_half_disk,
     _monomial_components,
-    branch_arg,
+    _power_terms,
+    conjugate_data,
+    correction_bound,
+    correction_coefficients,
+    principal_log_coefficient,
 )
+
+
+# ---------------------------------------------------------------------------
+# Frozen scalar engine: the branch functions, the expm1 form and the
+# closed-form antiderivative as the program took them one point at a time,
+# with cmath and math.  Both the quadrature engine below and the endpoint
+# reference (integrate_paths) use these copies, never the program's array
+# engine, which must give exactly the same bits.
+
+
+def _in_upper_half_disk(z: complex) -> bool:
+    return 0 < abs(z) <= 1.0 + 1e-12 and z.imag >= -1e-15
+
+
+def branch_arg(z: complex) -> float:
+    """Argument in [-pi/2, 3*pi/2): cut along the negative imaginary axis."""
+    theta = cmath.phase(z)
+    if theta < -math.pi / 2:
+        theta += 2.0 * math.pi
+    return theta
+
+
+def branch_power(z: complex, p: float) -> complex:
+    """z^p on the branch of branch_arg; 0^p = 0 for p > 0."""
+    if z == 0:
+        if p > 0:
+            return 0.0 + 0.0j
+        raise ZeroDivisionError("0 raised to a non-positive power")
+    r = abs(z)
+    return cmath.exp(p * (math.log(r) + 1j * branch_arg(z)))
+
+
+def branch_log(z: complex) -> complex:
+    """log z on the branch of branch_arg."""
+    if z == 0:
+        raise ZeroDivisionError("log 0")
+    return math.log(abs(z)) + 1j * branch_arg(z)
+
+
+def _expm1(w: complex) -> complex:
+    """exp(w) - 1 without cancellation near w = 0 (cmath has no expm1)."""
+    em1 = math.expm1(w.real)
+    half_sin = math.sin(0.5 * w.imag)
+    return complex(em1 * math.cos(w.imag) - 2.0 * half_sin * half_sin,
+                   math.exp(w.real) * math.sin(w.imag))
+
+
+def _antiderivative(data):
+    """z -> (F(z), sizes): the antiderivatives of the three components and,
+    per component, the sum of the magnitudes of the terms summed into it."""
+    if isinstance(data, ExponentialData):
+        c = 2.0 * data.omega_factor * data.lam
+
+        def exponential(z: complex):
+            values = [-c * cmath.cosh(z), 1j * c * cmath.sinh(z), c * z]
+            return values, [abs(v) for v in values]
+
+        return exponential
+
+    log_coefs, powers = _power_terms(data)
+
+    def power_end(z: complex):
+        log_z = branch_log(z)
+        values = [lc * log_z for lc in log_coefs]
+        sizes = [abs(v) for v in values]
+        for q, terms in powers:
+            w = _expm1(q * log_z) if abs(q) < _EXPM1_BELOW else cmath.exp(q * log_z)
+            for i, coef in terms:
+                t = coef * w
+                values[i] += t
+                sizes[i] += abs(t)
+        return values, sizes
+
+    return power_end
+
+
+def g_value(data, z: complex) -> complex:
+    """Gauss map g at z (branch-aware for PowerEndData)."""
+    z = complex(z)
+    if isinstance(data, ExponentialData):
+        return cmath.exp(z)
+    if z == 0:
+        return 0j
+    poly = data.g0
+    for k, c in enumerate(data.g1, start=1):
+        poly += c * z**k
+    return branch_power(z, data.alpha) * poly
+
+
+def gauss_normal_from_g(g: complex) -> np.ndarray:
+    """Unit normal as the inverse stereographic projection of g."""
+    if not np.isfinite(g.real) or not np.isfinite(g.imag) or abs(g) > 1e150:
+        return np.array([0.0, 0.0, 1.0])
+    m2 = g.real * g.real + g.imag * g.imag
+    return np.array([2.0 * g.real, 2.0 * g.imag, m2 - 1.0]) / (m2 + 1.0)
+
+
+def gauss_normal(data, z: complex) -> np.ndarray:
+    return gauss_normal_from_g(g_value(data, z))
+
+
+def _principal_third(coef: complex, z: complex) -> float:
+    """Principal part, log coefficient coef, of the third coordinate at z."""
+    return (coef * (math.log(abs(z)) + 1j * branch_arg(z))).real
+
+
+def check_slab(sample):
+    """The scalar check_slab: one principal term per sampled point."""
+    from trinoids.asymptotics import SlabReport
+
+    coef = principal_log_coefficient(sample.data)
+    residuals = []
+    for rho, arc in zip(sample.radii, sample.arc_points):
+        for th, pt in zip(sample.arc_angles, arc):
+            z = rho * np.exp(1j * th)
+            residuals.append(pt[2] - _principal_third(coef, z))
+    for s, pt in zip(sample.boundary_pos_s, sample.boundary_pos):
+        residuals.append(pt[2] - _principal_third(coef, complex(s)))
+    for s, pt in zip(sample.boundary_neg_s, sample.boundary_neg):
+        residuals.append(pt[2] - _principal_third(coef, complex(-s, 0.0)))
+    residuals = np.array(residuals)
+    bound_2c = 2.0 * correction_bound(sample.data)
+    width = float(residuals.max() - residuals.min())
+    spread = max(
+        float(np.ptp(sample.boundary_pos[:, 2])), float(np.ptp(sample.boundary_neg[:, 2]))
+    )
+    slack = 100.0 * sample.tol
+    return SlabReport(
+        sup=float(residuals.max()),
+        inf=float(residuals.min()),
+        width=width,
+        correction_bound=bound_2c,
+        boundary_z_spread=spread,
+        passed=width <= 2.0 * bound_2c + slack,
+    )
+
+
+def normal_limit_report(sample):
+    """The scalar normal_limit_report: one gauss_normal per angle."""
+    from trinoids.asymptotics import NormalLimitReport
+
+    down = np.array([0.0, 0.0, -1.0])
+
+    def max_dev(rho: float) -> float:
+        devs = [
+            np.linalg.norm(gauss_normal(sample.data, rho * np.exp(1j * th)) - down)
+            for th in sample.arc_angles
+        ]
+        return float(max(devs))
+
+    outer = max_dev(sample.radii[0])
+    inner = max_dev(sample.radii[-1])
+    return NormalLimitReport(outer, inner, passed=inner < outer and inner < 0.5)
 
 
 def exponential_displacement(data: ExponentialData, z: complex, z0: complex = 0.0) -> np.ndarray:
@@ -548,7 +711,8 @@ def integrate_paths(data, paths, tol: float = 1e-10):
     """The closed-form engine as it stood when it took paths: every path
     validated, and F evaluated once per distinct endpoint value through a
     dict, so x + 0j and x - 0j share one evaluation.  Its antiderivative is
-    the program's; weierstrass.integrate must give the same bits."""
+    the frozen scalar one above; weierstrass.integrate, which evaluates F
+    over arrays, must give the same bits and raise the same errors."""
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must lie in (0, inf), got {tol}")
     antiderivative = _antiderivative(data)

@@ -455,6 +455,27 @@ class TestVerifyEnd:
                            "--min-radius-exp", "5")
         assert code == 0 and err == ""
 
+    @pytest.mark.parametrize("coefficients", [
+        {"g1_re": [1e300], "g1_im": [0]},
+        {"w1_re": [1e308, 1e308], "w1_im": [0, 0]},
+    ], ids=["g1", "w1"])
+    def test_overflowing_coefficients(self, tmp_path, coefficients):
+        # the integrand coefficients overflow: an input error naming the
+        # data, in one line and with no numpy warning, run as a program so
+        # that any warning would reach stderr
+        path = tmp_path / "end.json"
+        path.write_text(json.dumps({"kind": "power_end", "alpha": 0.5, "g0_re": 1,
+                                    "w0_re": 0.375, **coefficients}))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [os.path.join(os.path.dirname(__file__), os.pardir, "src"),
+             os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-m", "trinoids.cli", "verify-end", str(path)],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: the data coefficients g0, w0, g1, w1 are too large")
+        assert proc.stderr.count("\n") == 1, proc.stderr
+
     @pytest.mark.parametrize("flag,value", [
         ("--fit-lambda", "0"),
         ("--fit-lambda", "nan"),

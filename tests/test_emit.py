@@ -144,7 +144,7 @@ def test_segments_and_patches():
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             got = emit.obj_from_segments_and_patches(segments, patches, box)
-            got_segments = emit.obj_from_segments(segments, box)
+            got_segments = emit.obj_from_segments_and_patches(segments, [], box)
         assert got == expected
         assert got_segments == expected_segments
     assert emit.obj_from_segments_and_patches([], patches) == \

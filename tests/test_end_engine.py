@@ -3,12 +3,12 @@
 The quadrature engine (tests/oracles.py) integrates every path on its own,
 segment by segment with scipy's adaptive quad, one branch power per
 monomial, along each of three routes.  The program evaluates closed-form
-antiderivatives once at the base point and once per target, so its value
-depends only on the endpoints.  Every sampled coordinate must agree with
-the oracle to within the tolerance; every value that does not come from an
-integral (radii, angles, ray parameters) keeps its bits, and every
-integral keeps the bits of the engine's earlier per-path loop
-(oracles.integrate_paths).
+antiderivatives over the array of all endpoints, so its value depends only
+on the endpoints.  Every sampled coordinate must agree with the oracle to
+within the tolerance; every value that does not come from an integral
+(radii, angles, ray parameters) keeps its bits, and every integral, slab
+report and normal-limit report keeps the bits of the frozen scalar engine
+(oracles.integrate_paths, oracles.check_slab, oracles.normal_limit_report).
 """
 
 import ast
@@ -16,6 +16,7 @@ import cmath
 import json
 import math
 import pathlib
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -77,20 +78,16 @@ def count_quad(monkeypatch):
 
 
 def count_antiderivative(monkeypatch):
-    """Endpoints at which integrate evaluates its antiderivative."""
+    """Endpoints at which integrate evaluates its antiderivative, in the
+    order of the arrays it is evaluated on."""
     points = []
-    make = W._antiderivative
+    antiderivative = W._antiderivative
 
-    def counting_make(data):
-        antiderivative = make(data)
+    def counting(data, z):
+        points.extend(complex(x) for x in z)
+        return antiderivative(data, z)
 
-        def counting(z):
-            points.append(z)
-            return antiderivative(z)
-
-        return counting
-
-    monkeypatch.setattr(W, "_antiderivative", counting_make)
+    monkeypatch.setattr(W, "_antiderivative", counting)
     return points
 
 
@@ -136,8 +133,8 @@ class TestSampleSameAsOriginal:
         assert report.passed and max(report.decay.sup_distance) < 1e-8
 
     def test_quad_calls(self, monkeypatch):
-        # no quadrature at all; one antiderivative evaluation at the base
-        # point 1 and one per target: 8 x 33 arc points, 16 +s and 16 -s
+        # no quadrature at all; the antiderivative is evaluated at the base
+        # point 1 and at each target: 8 x 33 arc points, 16 +s and 16 -s
         # targets.  Two targets repeat an endpoint (+1 is the base point and
         # 2^-8 lies on the innermost arc), and each is evaluated again.
         calls = count_quad(monkeypatch)
@@ -169,19 +166,23 @@ def random_endpoints(rng, data, n):
     return z0, targets + targets[:3] + [z0]
 
 
+END_SETS = [
+    (1 / 3, None, DEFAULT, 33, 16, 1e-10), (1 / 2, None, DEFAULT, 33, 16, 1e-10),
+    (2 / 3, None, DEFAULT, 33, 16, 1e-10), (3 / 2, None, DEFAULT, 33, 16, 1e-10),
+    (5 / 2, None, DEFAULT, 33, 16, 1e-10), (5 / 2, None, SHORT, 33, 16, 1e-10),
+    (1 / 3, 1, DEFAULT, 33, 16, 1e-10), (3 / 2, 2, DEFAULT, 33, 16, 1e-10),
+    (2 / 3, 3, SHORT, 33, 16, 1e-10), (5 / 2, 4, SHORT, 33, 16, 1e-10),
+    (1 / 2, 5, (0.9, 0.4, 0.1, 0.03), 7, 9, 1e-10), (1 / 2, 5, SHORT, 9, 10, 1e-8),
+    (1 / 2, 5, SHORT, 4, 2, 1e-12), (1 / 2, 5, (1.0, 0.5, 0.25), 3, 8, 3e-11),
+]
+
+
 class TestSameBitsAsPathEngine:
     """integrate against oracles.integrate_paths, the engine's earlier
-    per-path loop with its endpoint cache: the same bits, the same errors."""
+    per-path loop with its endpoint cache around the frozen scalar
+    antiderivative: the same bits, the same errors."""
 
-    @pytest.mark.parametrize("alpha,seed,radii,arc,boundary,tol", [
-        (1 / 3, None, DEFAULT, 33, 16, 1e-10), (1 / 2, None, DEFAULT, 33, 16, 1e-10),
-        (2 / 3, None, DEFAULT, 33, 16, 1e-10), (3 / 2, None, DEFAULT, 33, 16, 1e-10),
-        (5 / 2, None, DEFAULT, 33, 16, 1e-10), (5 / 2, None, SHORT, 33, 16, 1e-10),
-        (1 / 3, 1, DEFAULT, 33, 16, 1e-10), (3 / 2, 2, DEFAULT, 33, 16, 1e-10),
-        (2 / 3, 3, SHORT, 33, 16, 1e-10), (5 / 2, 4, SHORT, 33, 16, 1e-10),
-        (1 / 2, 5, (0.9, 0.4, 0.1, 0.03), 7, 9, 1e-10), (1 / 2, 5, SHORT, 9, 10, 1e-8),
-        (1 / 2, 5, SHORT, 4, 2, 1e-12), (1 / 2, 5, (1.0, 0.5, 0.25), 3, 8, 3e-11),
-    ])
+    @pytest.mark.parametrize("alpha,seed,radii,arc,boundary,tol", END_SETS)
     def test_end_sets(self, alpha, seed, radii, arc, boundary, tol):
         pe = W.power_end_data(alpha) if seed is None else perturbed(alpha, seed)
         sample = asymptotics.sample_conjugate_end(pe, radii, arc, boundary, tol)
@@ -201,6 +202,40 @@ class TestSameBitsAsPathEngine:
             asymptotics.sample_conjugate_end(pe)
         assert str(new.value) == str(old.value)
         assert bits(new.value.achieved) == bits(old.value.achieved)
+
+
+    @pytest.mark.parametrize("alpha,seed,radii,arc,boundary,tol", END_SETS)
+    def test_reports(self, alpha, seed, radii, arc, boundary, tol):
+        # every float of the slab and normal-limit reports keeps the bits of
+        # the frozen one-point-at-a-time check_slab and normal_limit_report
+        pe = W.power_end_data(alpha) if seed is None else perturbed(alpha, seed)
+        sample = asymptotics.sample_conjugate_end(pe, radii, arc, boundary, tol)
+        for got, want in ((asymptotics.check_slab(sample), oracles.check_slab(sample)),
+                          (asymptotics.normal_limit_report(sample),
+                           oracles.normal_limit_report(sample))):
+            assert got.passed == want.passed
+            names = [f.name for f in fields(got) if f.name != "passed"]
+            assert bits([getattr(got, n) for n in names]) == bits(
+                [getattr(want, n) for n in names]), type(got).__name__
+
+    @pytest.mark.parametrize("data,budget_z,overflow_z", [
+        (W.power_end_data(2.4), 1e-8 + 0j, 1e-200 + 0j),
+        (perturbed(3.0, 1), 2**-8 * 1j, 1e-150 - 0j),
+        (W.catenoid_data(1.0), 30.0 + 0j, 1000.0 + 0j),
+    ], ids=["power-end", "perturbed", "exponential"])
+    def test_error_order(self, data, budget_z, overflow_z):
+        # the first failing target names the error: a budget failure before
+        # an overflow gives the budget error, the reverse order the
+        # overflow, each with the frozen engine's message and achieved bits
+        for targets, match in (([0.5, budget_z, overflow_z], "rounding budget"),
+                               ([0.5, overflow_z, budget_z], "overflows at z")):
+            z0 = 0.0 if isinstance(data, W.ExponentialData) else 1.0
+            with pytest.raises(QuadratureError, match=match) as new:
+                integrate(data, z0, targets, 1e-10)
+            with pytest.raises(QuadratureError) as old:
+                oracles.integrate_paths(data, [IntegrationPath(z0, z) for z in targets])
+            assert str(new.value) == str(old.value)
+            assert bits(new.value.achieved) == bits(old.value.achieved)
 
 
 class TestIntegrateSameAsOriginal:
@@ -404,7 +439,7 @@ class TestNoQuadratureInSource:
 class TestClosedForm:
     def test_expm1_form(self):
         for w in (1e-17 + 3e-17j, -2e-9 + 1e-9j, 0.3 - 0.2j, -1.7 + 2.9j):
-            got = W._expm1(w)
+            got = oracles._expm1(w)
             series = w + w * w / 2 + w**3 / 6 + w**4 / 24
             want = series if abs(w) < 1e-6 else cmath.exp(w) - 1.0
             assert abs(got - want) <= 4e-16 * abs(want)
@@ -425,3 +460,38 @@ class TestClosedForm:
         assert err.value.achieved == math.inf
         with pytest.raises(QuadratureError):
             integrate(W.catenoid_data(1.0), 0.0, [1000.0 + 0j])
+
+    def test_cmath_rescaling_window(self):
+        # above log(DBL_MAX / 4) cmath's exp, cosh and sinh rescale by e, and
+        # numpy's complex versions differ there in the last bit; a huge tol
+        # lets those values through, and they keep the frozen engine's bits
+        rng = np.random.default_rng(13)
+        for alpha in (2.5, 3.0):
+            pe = perturbed(alpha, 7)
+            mags = np.exp(-rng.uniform(708.5, 709.7, 40) / alpha)
+            targets = list(mags * np.exp(1j * rng.uniform(0.0, PI, 40)))
+            paths = [IntegrationPath(1.0, z) for z in targets]
+            assert bits(integrate(pe, 1.0, targets, 1e300)) == bits(
+                oracles.integrate_paths(pe, paths, 1e300))
+        data = W.ExponentialData(0.3, 1j)
+        xs = rng.uniform(700.0, 710.4, 40) * rng.choice([-1.0, 1.0], 40)
+        targets = [complex(x, y) for x, y in zip(xs, rng.uniform(-9.0, 9.0, 40))]
+        paths = [IntegrationPath(0.0, z) for z in targets]
+        assert bits(integrate(data, 0.0, targets, 1e300)) == bits(
+            oracles.integrate_paths(data, paths, 1e300))
+        for z in (708.5 + 0.25j, 709.7 - 3j, -709.0 + 1j):
+            got, want = W.g_value(data, z), oracles.g_value(data, z)
+            assert bits([got.real, got.imag]) == bits([want.real, want.imag])
+
+    def test_overflow_where_cmath_raises(self):
+        # -2 cosh z has finite parts there, but its size overflows: the
+        # one-point abs() raised OverflowError, so the array engine names the
+        # overflow too, not the infinite budget
+        data, big = W.catenoid_data(1.0), complex(709.95, PI / 4)
+        for targets in ([0.5 + 0j, big], [big, 0.5 + 0j]):
+            with pytest.raises(QuadratureError, match="overflows at z") as new:
+                integrate(data, 0.0, targets)
+            paths = [IntegrationPath(0.0, z) for z in targets]
+            with pytest.raises(QuadratureError) as old:
+                oracles.integrate_paths(data, paths)
+            assert str(new.value) == str(old.value)

@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 import oracles
-from oracles import IntegrationPath, Route, correction_integral
+from oracles import IntegrationPath, Route, branch_arg, branch_power, correction_integral
+from trinoids.surfaces import gauss_normal_from_g
 from trinoids.weierstrass import (
     ExponentialData,
     PowerEndData,
-    branch_arg,
-    branch_power,
+    branch_log,
     catenoid_data,
     conjugate_data,
     correction_bound,
@@ -52,6 +52,24 @@ class TestBranch:
         assert branch_power(0.0, 0.5) == 0.0
         with pytest.raises(ZeroDivisionError):
             branch_power(0.0, -1.0)
+
+    def test_branch_log_at_the_cut(self):
+        # the program's array branch_log at the cut cases above: the
+        # argument of the frozen scalar branch_arg bit for bit, and the
+        # sign of a zero argument dropped as CPython's log|z| + 1j*arg z does
+        zs = [1.0, 1j, -1.0, complex(-1.0, -1e-12), -1j, complex(-1e-12, -1.0),
+              complex(0.5, -0.0), complex(-0.5, -0.0), 1e-300j, complex(3.0, 4.0)]
+        log_r, theta = branch_log(zs)
+        assert log_r.shape == theta.shape == (len(zs),)
+        for z, a, b in zip(zs, log_r, theta):
+            want = oracles.branch_log(z)
+            assert (a, b) == (want.real, want.imag)
+            assert math.copysign(1.0, b) == math.copysign(1.0, want.imag)
+        assert theta[0] == 0.0 and theta[4] == -PI / 2
+        assert theta[5] == pytest.approx(3 * PI / 2, abs=1e-9)
+        assert math.copysign(1.0, theta[6]) == 1.0
+        with pytest.raises(ZeroDivisionError):
+            branch_log([0.5, 0.0])
 
 
 class TestDataValidation:
@@ -266,6 +284,40 @@ class TestGaussNormal:
         pe = power_end_data(0.5, g0=2.0)
         z = -0.25 + 0j
         assert g_value(pe, z) == pytest.approx(2.0 * branch_power(z, 0.5))
+
+    @pytest.mark.parametrize("data", [power_end_data(0.5, g1=(0.1, 0.02)), catenoid_data(1.0)],
+                             ids=["power-end", "exponential"])
+    def test_shapes_kept(self, data):
+        # a scalar gives a scalar g and one (3,) normal; an array of shape s
+        # gives g of shape s and normals of shape s + (3,), each the frozen
+        # scalar value
+        for z in (0.5, 0.3 + 0.2j, 0.0):
+            assert np.shape(g_value(data, z)) == ()
+            assert gauss_normal(data, z).shape == (3,)
+            assert gauss_normal_from_g(complex(z)).shape == (3,)
+        zs = np.array([[0.5, 0.3 + 0.2j, 0.0], [-0.4 + 0.1j, 1j, 0.9]])
+        g = g_value(data, zs)
+        normals = gauss_normal(data, zs)
+        assert g.shape == (2, 3) and normals.shape == (2, 3, 3)
+        assert gauss_normal_from_g(g).shape == (2, 3, 3)
+        for idx in np.ndindex(zs.shape):
+            want = oracles.g_value(data, zs[idx])
+            assert (g[idx].real, g[idx].imag) == (want.real, want.imag)
+            assert np.array_equal(normals[idx], oracles.gauss_normal(data, zs[idx]))
+        assert np.array_equal(gauss_normal_from_g([0j, complex("inf"), 1e200]),
+                              [[0, 0, -1], [0, 0, 1], [0, 0, 1]])
+
+    @pytest.mark.parametrize("degree", [0, 1, 5, 100, 103])
+    def test_g_value_same_bits(self, degree):
+        # CPython takes z**k by repeated squaring up to k = 100 and through
+        # pow and atan2 above; g keeps the frozen scalar bits either way
+        rng = np.random.default_rng(degree)
+        pe = power_end_data(2 / 3, g0=1.3, g1=tuple(rng.uniform(-0.5, 0.5, degree)))
+        zs = rng.uniform(0.0, 1.0, 30) * np.exp(1j * rng.uniform(-PI / 2, 3 * PI / 2, 30))
+        g = g_value(pe, zs)
+        want = [oracles.g_value(pe, z) for z in zs]
+        assert np.array_equal(g.real.view(np.uint64), np.array([w.real for w in want]).view(np.uint64))
+        assert np.array_equal(g.imag.view(np.uint64), np.array([w.imag for w in want]).view(np.uint64))
 
 
 class TestIsometryInvariant:
