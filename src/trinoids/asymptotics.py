@@ -190,19 +190,22 @@ class RayFit:
 
 
 def _fit_line(points: np.ndarray) -> Tuple[OrientedLine, float]:
-    centroid = points.mean(axis=0)
-    centered = points - centroid
-    spread = np.linalg.norm(centered, axis=1).max()
-    if spread < 1e-12:
-        raise ValueError("boundary samples nearly coincident; degenerate line fit")
-    _, _, vt = np.linalg.svd(centered, full_matrices=False)
-    direction = vt[0]
-    # orient toward the end: samples are ordered from the base point inward
-    t = centered @ direction
-    if t[-1] < t[0]:
-        direction = -direction
-        t = -t
-    deviation = float(np.linalg.norm(centered - np.outer(t, direction), axis=1).max())
+    # samples near the largest float overflow their squares: the fit of such
+    # a ray is judged by its results, without numpy's warnings on stderr
+    with np.errstate(all="ignore"):
+        centroid = points.mean(axis=0)
+        centered = points - centroid
+        spread = np.linalg.norm(centered, axis=1).max()
+        if spread < 1e-12:
+            raise ValueError("boundary samples nearly coincident; degenerate line fit")
+        _, _, vt = np.linalg.svd(centered, full_matrices=False)
+        direction = vt[0]
+        # orient toward the end: samples are ordered from the base point inward
+        t = centered @ direction
+        if t[-1] < t[0]:
+            direction = -direction
+            t = -t
+        deviation = float(np.linalg.norm(centered - np.outer(t, direction), axis=1).max())
     return OrientedLine(centroid, direction), deviation
 
 
@@ -271,7 +274,10 @@ def fit_helicoid(rays: RayFit, lam: float) -> HelicoidFit:
             ),
         )
 
-    q1, q2 = common_perpendicular_feet(rays.ray_pos, rays.ray_neg)
+    pos, neg = rays.ray_pos, rays.ray_neg
+    (q1,), (q2,) = common_perpendicular_feet([pos.point.tolist()], [u1.tolist()],
+                                             [neg.point.tolist()], [u2.tolist()])
+    q1, q2 = np.array(q1), np.array(q2)
     n_hat = unit(normal)
     d = float((q2 - q1) @ n_hat)
     angle = angle_between(u1, u2)
@@ -283,15 +289,16 @@ def fit_helicoid(rays: RayFit, lam: float) -> HelicoidFit:
     sigma = math.copysign(1.0, lam)
     # the axis direction is +/- the common perpendicular; the screw sense
     # picks one of them, so try both and keep the consistent placement
+    col1 = sigma * u1
+    candidates = [HelicoidFrame(lam, np.column_stack([cross(col1, e_axis), col1, e_axis]), q1)
+                  for e_axis in (n_hat, -n_hat)]
+    # both rays against both candidates, in one call
+    both = ruling_residual(np.array([c.rotation for c in candidates for _ in (0, 1)]),
+                           [q1.tolist()] * 4, [pitch] * 4,
+                           [pos.point.tolist(), neg.point.tolist()] * 2, [u1.tolist(), u2.tolist()] * 2)
     frame, residual = None, math.inf
-    for e_axis in (n_hat, -n_hat):
-        col1 = sigma * u1
-        R = np.column_stack([cross(col1, e_axis), col1, e_axis])
-        cand = HelicoidFrame(lam, R, q1)
-        res = max(
-            ruling_residual(R, q1, pitch, rays.ray_pos),
-            ruling_residual(R, q1, pitch, rays.ray_neg),
-        )
+    for cand, res_pos, res_neg in zip(candidates, both[::2], both[1::2]):
+        res = max(res_pos, res_neg)
         if res < residual:
             frame, residual = cand, res
     ok = residual < FIT_RESIDUAL_TOL
@@ -315,9 +322,6 @@ def helicoid_distances(frame: HelicoidFrame, pitch: float, points: np.ndarray):
     points run at once; a point stops at its first converged step.
     Returns (distances, converged flags).
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    X, Y, Z = ((pts - frame.translation) @ frame.rotation).T
-
     def dist2(X, Y, Z, y):
         # squared distance to the ruling at height -pitch*y; the
         # perpendicular in-plane component is X cos y + Y sin y
@@ -326,12 +330,16 @@ def helicoid_distances(frame: HelicoidFrame, pitch: float, points: np.ndarray):
         t = Z + pitch * y
         return up * up + t * t
 
-    ys = (-Z / pitch)[:, None] + np.linspace(-math.pi, math.pi, 49)
-    scan = dist2(X[:, None], Y[:, None], Z[:, None], ys)
-    y = ys[np.arange(len(ys)), np.argmin(scan, axis=1)]
-    flags = np.zeros(len(y), dtype=bool)
-    active = np.arange(len(y))
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # points near the largest float overflow their squares, and a flat
+    # Hessian divides by zero: the flags and distances tell, not warnings
+    with np.errstate(all="ignore"):
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        X, Y, Z = ((pts - frame.translation) @ frame.rotation).T
+        ys = (-Z / pitch)[:, None] + np.linspace(-math.pi, math.pi, 49)
+        scan = dist2(X[:, None], Y[:, None], Z[:, None], ys)
+        y = ys[np.arange(len(ys)), np.argmin(scan, axis=1)]
+        flags = np.zeros(len(y), dtype=bool)
+        active = np.arange(len(y))
         for _ in range(40):
             Xa, Ya, ya = X[active], Y[active], y[active]
             u = Xa * np.sin(ya) - Ya * np.cos(ya)
@@ -350,7 +358,7 @@ def helicoid_distances(frame: HelicoidFrame, pitch: float, points: np.ndarray):
             step = np.where(step > 0.5, 0.5, step)
             step = np.where(step < -0.5, -0.5, step)
             y[active] = ya[moving] - step
-    d2 = dist2(X, Y, Z, y)
+        d2 = dist2(X, Y, Z, y)
     return np.sqrt(np.where(d2 < 0.0, 0.0, d2)), flags
 
 

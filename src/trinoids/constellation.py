@@ -24,21 +24,27 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .classify import TripleTag, classify_triple
 from .lines import (
+    NONFINITE_POINT,
+    PARALLEL,
+    ZERO_NORM,
+    ZERO_VECTOR,
+    LinePairs,
     OrientedLine,
     angle_between,
-    common_perpendicular_feet,
-    cross,
-    line_distance,
+    canonical_rows,
+    cross3,
+    dot_rows,
+    line_pairs,
     ruling_residual,
+    scaled,
     signed_gap,
-    unit,
 )
 from .params import (
     PitchConvention,
@@ -64,6 +70,18 @@ class ParallelBoundaryWarning(UserWarning):
     """Reduced triple on the tetrahedron boundary: parallel case, not solved."""
 
 
+NOT_ROTATION = "rotation must be special orthogonal within 1e-12"
+
+
+def not_rotations(rotations: np.ndarray) -> List[bool]:
+    """Flags of the (k, 3, 3) matrices that HelicoidFrame refuses: those
+    not special orthogonal within 1e-12."""
+    columns = np.swapaxes(rotations, 1, 2).tolist()
+    det = dot_rows([cross3(c[0], c[1]) for c in columns], [c[2] for c in columns])
+    gram = (np.abs(np.swapaxes(rotations, 1, 2) @ rotations - np.eye(3)).max(axis=(1, 2))).tolist()
+    return [g > 1e-12 or abs(x - 1.0) > 1e-12 for g, x in zip(gram, det)]
+
+
 @dataclass(frozen=True)
 class HelicoidFrame:
     """Rigid placement of the helicoid with parameter lam.
@@ -82,11 +100,19 @@ class HelicoidFrame:
         T = np.asarray(self.translation, dtype=float)
         if R.shape != (3, 3) or T.shape != (3,):
             raise ValueError("rotation must be 3x3 and translation a 3-vector")
-        det = float(cross(R[:, 0], R[:, 1]) @ R[:, 2])
-        if np.max(np.abs(R.T @ R - np.eye(3))) > 1e-12 or abs(det - 1.0) > 1e-12:
-            raise ValueError("rotation must be special orthogonal within 1e-12")
+        if not_rotations(R[None])[0]:
+            raise ValueError(NOT_ROTATION)
         object.__setattr__(self, "rotation", R)
         object.__setattr__(self, "translation", T)
+
+    @classmethod
+    def checked(cls, lam: float, rotation: np.ndarray, translation: np.ndarray) -> "HelicoidFrame":
+        """The frame of a float rotation that not_rotations passed, stored as it is."""
+        frame = object.__new__(cls)
+        object.__setattr__(frame, "lam", lam)
+        object.__setattr__(frame, "rotation", rotation)
+        object.__setattr__(frame, "translation", translation)
+        return frame
 
 
 @dataclass(frozen=True)
@@ -143,22 +169,13 @@ def _screw_sign(phi: float) -> float:
     return math.copysign(1.0, s)
 
 
-def _pair_frame(a: OrientedLine, b: OrientedLine, lam: float, phi: float,
-                qa: np.ndarray) -> HelicoidFrame:
-    """Closed-form frame making a and b rulings with screw rotation phi.
-
-    qa is the foot on a of the common perpendicular of a and b, where the
-    frame is placed.  The axis direction is e = -chi * unit(u_a x u_b) with
-    chi = sign(sin phi); line a becomes the ruling at y = 0 and line b the
-    reversed ruling at y = phi.
-    """
-    n_hat = unit(cross(a.direction, b.direction))
-    e = -_screw_sign(phi) * n_hat
-    sigma = math.copysign(1.0, lam)
-    col0 = -sigma * cross(a.direction, e)
-    col1 = -sigma * a.direction
-    R = np.column_stack([col0, col1, e])
-    return HelicoidFrame(lam, R, qa)
+# pair rows of the one pass: pair 1 is shared, pairs 2 and 3 come once per
+# solution; each row names its carried and image line (rows of the lines
+# l12, l31, l23+, l23-) and its end angle
+_PAIR_ROWS = ((0, 1, 2), (0, 3, 4))  # the pair rows of solution + and of solution -
+_CARRIED = [0, 2, 1, 3, 1]
+_IMAGE = [1, 0, 2, 0, 3]
+_ANGLE = [0, 1, 2, 1, 2]
 
 
 def solve_constellations(
@@ -178,13 +195,17 @@ def solve_constellations(
     two lines is the helicoid axis, and the frame sits at its foot on the
     carried line (lines.common_perpendicular_feet).
 
-    Each solution is checked against its own residuals (ConstellationReport.ok)
-    and carries that report as ``self_check``; none is returned silently
-    unchecked.  The directions come from cosines of the reduced angles
-    alone, so a triple too close to the boundary for double precision raises
-    ValueError: the direction solve degenerates, or its angles miss pi - r_i
-    by RESIDUAL_TOL or more.  Any other failed check raises
-    ConstellationSolveError.
+    The two solutions, l23's direction (ax, ay, +az) and (ax, ay, -az), are
+    built and checked together in one pass over arrays; pair 1 (l12, l31,
+    f1) is the same in both and is computed once.  Each solution is checked
+    against its own residuals (ConstellationReport.ok) and carries that
+    report as ``self_check``; none is returned silently unchecked.  The
+    directions come from cosines of the reduced angles alone, so a triple
+    too close to the boundary for double precision raises ValueError: the
+    direction solve degenerates, or its angles miss pi - r_i by
+    RESIDUAL_TOL or more.  Any other failed check raises
+    ConstellationSolveError.  Solution + is built and checked before
+    solution -: the first refusal in that order is the one raised.
     """
     outcome = classify_triple(phi1, phi2, phi3, eps_face=eps_face)
     if outcome.tag is TripleTag.PARALLEL_BOUNDARY:
@@ -204,22 +225,110 @@ def solve_constellations(
 
     # Direction triple: spherical triangle with side s1 between u12 and u31,
     # s2 between u23 and u12, s3 between u31 and u23.
-    u12 = np.array([1.0, 0.0, 0.0])
-    u31 = np.array([math.cos(s[0]), math.sin(s[0]), 0.0])
+    u31 = [math.cos(s[0]), math.sin(s[0]), 0.0]
     ax = math.cos(s[1])
-    ay = (math.cos(s[2]) - math.cos(s[0]) * math.cos(s[1])) / math.sin(s[0])
+    ay = (math.cos(s[2]) - u31[0] * ax) / u31[1]
     az2 = 1.0 - ax * ax - ay * ay
     if az2 <= 0.0:
         raise ValueError(
             f"direction solve degenerate (az^2 = {az2}); triple too close to the boundary"
         )
     az = math.sqrt(az2)
+    return _mirror_solutions(phis, r, lams, u31, ax, ay, az, convention)
+
+
+def _mirror_solutions(phis, r, lams, u31, ax, ay, az, convention) -> List[Constellation]:
+    """Both solutions of solve_constellations, built and self-checked at once.
+
+    Every row gets the bits that building each solution on its own gives
+    (see trinoids.lines).  Nothing raises while the rows are computed: each
+    refusal is flagged, and the first one is raised in the order of building
+    solution +, checking it, then building and checking solution -.
+    """
+    chi = [_screw_sign(p) for p in phis]
+    pitch = [pitch_coefficient(lam, convention) for lam in lams]
+    c = [chi[i] * pitch[i] * phis[i] for i in range(3)]
+    u12 = [1.0, 0.0, 0.0]
+    u23 = [[ax, ay, az], [ax, ay, -az]]
+
+    # plane normals n1, n2+, n2-, n3+, n3-
+    raw = [cross3(u12, u31)] + [cross3(u, u12) for u in u23] + [cross3(u31, u) for u in u23]
+    norms = [math.sqrt(x) for x in dot_rows(raw, raw)]
+    n1, n2p, n2m, n3p, n3m = [scaled(v, norm) for v, norm in zip(raw, norms)]
+    n2, n3 = [n2p, n2m], [n3p, n3m]
+
+    # Positions: p12 = 0 (gauge), pair-1 offset places l31, pairs 2 and 3
+    # pin l23 through a 2x2 solve in the plane perpendicular to u23.
+    p31 = [c[0] * x for x in n1]
+    e2raw = [cross3(u, n) for u, n in zip(u23, n2)]
+    sq = dot_rows(e2raw + n2 + [p31, p31], e2raw + n3 + n3)
+    e2_norms = [math.sqrt(x) for x in sq[:2]]
+    e2 = [scaled(v, norm) for v, norm in zip(e2raw, e2_norms)]
+    denom = dot_rows(e2, n3)
+    coplanar = [abs(x) < 1e-12 for x in denom]
+    x = -c[1]
+    p23 = []
+    for j in range(2):
+        y = math.nan if coplanar[j] else (c[2] + sq[4 + j] - x * sq[2 + j]) / denom[j]
+        p23.append([x * a + y * b for a, b in zip(n2[j], e2[j])])
+
+    # lines l12, l31, l23+, l23-
+    points, dirs, zero_dir, nonfinite = canonical_rows([[0.0, 0.0, 0.0], p31] + p23,
+                                                       [u12, u31] + u23)
+
+    # Frames in closed form: the common perpendicular of a pair is the
+    # helicoid axis, with direction e = -chi * unit(u_a x u_b), chi =
+    # sign(sin phi); the carried line a becomes the ruling at y = 0 and the
+    # image line b the reversed ruling at y = phi.  Each frame sits at the
+    # foot of the common perpendicular on a.
+    pa, ua = [points[i] for i in _CARRIED], [dirs[i] for i in _CARRIED]
+    pb, ub = [points[i] for i in _IMAGE], [dirs[i] for i in _IMAGE]
+    pairs = line_pairs(pa, ua, pb, ub)
+    n_norms = [math.sqrt(x) for x in pairs.nn]
+    rotations = []
+    for k, i in enumerate(_ANGLE):
+        e = [-chi[i] * x for x in scaled(pairs.n[k], n_norms[k])]
+        sigma = math.copysign(1.0, lams[i])
+        col0 = [-sigma * x for x in cross3(ua[k], e)]
+        col1 = [-sigma * x for x in ua[k]]
+        rotations.append([[col0[m], col1[m], e[m]] for m in range(3)])
+    rotations = np.array(rotations)
+    bad_frame = not_rotations(rotations)
+
+    def refusal(j: int) -> Optional[Exception]:
+        """The first refusal met in building solution j, or None."""
+        if min(norms[0], norms[1 + j], norms[3 + j], e2_norms[j]) < ZERO_NORM:
+            return ValueError(ZERO_VECTOR)
+        if coplanar[j]:
+            return ConstellationSolveError("coplanar direction triple; position solve singular")
+        for line in (0, 2 + j, 1):
+            if zero_dir[line]:
+                return ValueError(ZERO_VECTOR)
+            if nonfinite[line]:
+                return ValueError(NONFINITE_POINT)
+        for k in _PAIR_ROWS[j]:
+            if pairs.parallel[k]:
+                return ValueError(PARALLEL)
+            if n_norms[k] < ZERO_NORM:
+                return ValueError(ZERO_VECTOR)
+            if bad_frame[k]:
+                return ValueError(NOT_ROTATION)
+        return None
+
+    refused = [refusal(0), refusal(1)]
+    if refused[0] is not None:
+        raise refused[0]
+    # a refused solution - is raised only after solution + passed its check,
+    # and its rows are not checked
+    to_check = _PAIR_ROWS[:1] if refused[1] is not None else _PAIR_ROWS
+    k = 3 if refused[1] is not None else 5
+    reports = _self_check(
+        [p[:k] for p in (pa, ua, pb, ub)], pairs, rotations[:k], pairs.qa[:k],
+        [pitch[i] for i in _ANGLE[:k]], [math.pi - r[i] for i in _ANGLE[:k]],
+        [ray_distance_h(phis[i], convention) for i in _ANGLE[:k]], to_check)
 
     solutions = []
-    for sign in (1.0, -1.0):
-        u23 = np.array([ax, ay, sign * az])
-        sol = _assemble(phis, lams, u12, u23, u31, convention)
-        report = verify_constellation(sol, phis)
+    for j, (report, pair_rows) in enumerate(zip(reports, to_check)):
         for i, res in enumerate(report.angle):
             if not res < RESIDUAL_TOL:
                 raise ValueError(
@@ -231,38 +340,42 @@ def solve_constellations(
             raise ConstellationSolveError(
                 f"solution failed self-check: max residual {report.max_residual:.3e}"
             )
-        solutions.append(replace(sol, self_check=report))
+        lines = [OrientedLine.canonical(points[m], dirs[m]) for m in (0, 2 + j, 1)]
+        frames = [HelicoidFrame.checked(lams[i], rotations[m].copy(), np.array(pairs.qa[m]))
+                  for i, m in enumerate(pair_rows)]
+        solutions.append(Constellation(*lines, *frames, convention, self_check=report))
+    if refused[1] is not None:
+        raise refused[1]
     return solutions
 
 
-def _assemble(phis, lams, u12, u23, u31, convention) -> Constellation:
-    chi = tuple(_screw_sign(p) for p in phis)
-    pitch = tuple(pitch_coefficient(lam, convention) for lam in lams)
-    c = tuple(chi[i] * pitch[i] * phis[i] for i in range(3))
+def _self_check(lines, pairs: LinePairs, rotations, translations, pitches, targets, heights,
+                solutions) -> List[ConstellationReport]:
+    """Self-check reports of constellations given as rows of line pairs.
 
-    n1 = unit(cross(u12, u31))
-    n2 = unit(cross(u23, u12))
-    n3 = unit(cross(u31, u23))
-
-    # Positions: p12 = 0 (gauge), pair-1 offset places l31, pairs 2 and 3 pin
-    # l23 through a 2x2 solve in the plane perpendicular to u23.
-    p12 = np.zeros(3)
-    p31 = c[0] * n1
-    e2 = unit(cross(u23, n2))
-    denom = float(e2 @ n3)
-    if abs(denom) < 1e-12:
-        raise ConstellationSolveError("coplanar direction triple; position solve singular")
-    x = -c[1]
-    y = (c[2] + float(p31 @ n3) - x * float(n2 @ n3)) / denom
-    p23 = x * n2 + y * e2
-
-    l12 = OrientedLine(p12, u12)
-    l23 = OrientedLine(p23, u23)
-    l31 = OrientedLine(p31, u31)
-    f1 = _pair_frame(l12, l31, lams[0], phis[0], common_perpendicular_feet(l12, l31)[0])
-    f2 = _pair_frame(l23, l12, lams[1], phis[1], common_perpendicular_feet(l23, l12)[0])
-    f3 = _pair_frame(l31, l23, lams[2], phis[2], common_perpendicular_feet(l31, l23)[0])
-    return Constellation(l12, l23, l31, f1, f2, f3, convention)
+    lines holds the rows (pa, ua, pb, ub) of the carried and image lines,
+    both canonical, and pairs their line_pairs.  Row k's frame is
+    (rotations[k], translations[k]), with signed pitch pitches[k]; its
+    lines should subtend targets[k] = pi - r_i at distance heights[k] = h_i.
+    Each solution is a triple of rows, pairs 1 to 3; its report has the
+    containment of both lines in the framed helicoid, |angle - target| and
+    |distance - h| per pair, and the largest |coordinate| of its line
+    points and frame translations.
+    """
+    pa, ua, pb, ub = lines
+    containment = ruling_residual(
+        np.repeat(rotations, 2, axis=0), [t for t in translations for _ in (0, 1)],
+        [x for x in pitches for _ in (0, 1)], [p for pair in zip(pa, pb) for p in pair],
+        [u for pair in zip(ua, ub) for u in pair])
+    reports = []
+    for rows in solutions:
+        coords = [pa[i] for i in rows] + [translations[i] for i in rows]
+        reports.append(ConstellationReport(
+            tuple(containment[2 * i + m] for i in rows for m in (0, 1)),
+            tuple(abs(pairs.angle[i] - targets[i]) for i in rows),
+            tuple(abs(pairs.distance[i] - heights[i]) for i in rows),
+            max(abs(x) for v in coords for x in v)))
+    return reports
 
 
 def verify_constellation(c: Constellation, phis) -> ConstellationReport:
@@ -274,20 +387,17 @@ def verify_constellation(c: Constellation, phis) -> ConstellationReport:
     of the coordinates, which ConstellationReport.ok applies.
     """
     phis = tuple(float(p) for p in phis)
-    containment: List[float] = []
-    angles: List[float] = []
-    distances: List[float] = []
-    for i, (a, b, frame) in enumerate(c.pairs()):
-        pitch = pitch_coefficient(frame.lam, c.convention)
-        containment.append(ruling_residual(frame.rotation, frame.translation, pitch, a))
-        containment.append(ruling_residual(frame.rotation, frame.translation, pitch, b))
-        r_i = reduced_angle(phis[i])
-        angles.append(abs(angle_between(a.direction, b.direction) - (math.pi - r_i)))
-        h_i = ray_distance_h(phis[i], c.convention)
-        distances.append(abs(line_distance(a, b) - h_i))
-    points = [line.point for line in c.lines()] + [f.translation for _, _, f in c.pairs()]
-    scale = max(abs(x) for v in points for x in v.tolist())
-    return ConstellationReport(tuple(containment), tuple(angles), tuple(distances), scale)
+    pitches, targets, heights = [], [], []
+    for phi, (_, _, frame) in zip(phis, c.pairs()):
+        pitches.append(pitch_coefficient(frame.lam, c.convention))
+        targets.append(math.pi - reduced_angle(phi))
+        heights.append(ray_distance_h(phi, c.convention))
+    lines = [[line.tolist() for line in column] for column in zip(*(
+        (a.point, a.direction, b.point, b.direction) for a, b, _ in c.pairs()))]
+    frames = [f for _, _, f in c.pairs()]
+    return _self_check(lines, line_pairs(*lines), np.array([f.rotation for f in frames]),
+                       [f.translation.tolist() for f in frames], pitches, targets, heights,
+                       [(0, 1, 2)])[0]
 
 
 def _invariant_set(lines) -> Tuple[np.ndarray, np.ndarray, float]:

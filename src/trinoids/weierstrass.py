@@ -144,7 +144,11 @@ class PowerEndData:
         object.__setattr__(self, "g1", tuple(complex(c) for c in self.g1))
         object.__setattr__(self, "w1", tuple(complex(c) for c in self.w1))
         object.__setattr__(self, "omega_factor", _check_omega_factor(self.omega_factor))
-        target = (1.0 - self.alpha**2) / (4.0 * self.alpha)
+        try:
+            square = self.alpha**2
+        except OverflowError:
+            raise ValueError(f"alpha = {self.alpha} is too large: alpha^2 overflows") from None
+        target = (1.0 - square) / (4.0 * self.alpha)
         if abs(self.g0 * self.w0 - target) > 1e-12 * max(abs(target), 1e-300):
             raise ValueError(
                 f"g0*w0 = {self.g0 * self.w0} violates the compatibility "

@@ -22,6 +22,9 @@ These deliberately avoid the code paths they check:
 * the helicoid distance oracle loops over points one at a time;
 * the constellation oracles take every cross product with np.cross and
   check frames in exact rational arithmetic;
+* the sequential constellation solver builds and checks one solution after
+  the other through the scalar line kernels, where the program builds both
+  in one pass over rows;
 * the command-line oracle builds its parser and checks each schema anew on
   every call.
 """
@@ -30,7 +33,7 @@ import cmath
 import math
 import sys
 import warnings
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 from fractions import Fraction
 
@@ -39,6 +42,7 @@ import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 
 from trinoids import cli, emit, params
+from trinoids.asymptotics import FIT_RESIDUAL_TOL
 from trinoids.classify import Membership, TripleTag
 from trinoids.classify import classify_triple as trinoids_classify_triple
 from trinoids.constellation import (
@@ -1071,6 +1075,259 @@ def exact_frame_residual(c, phis) -> float:
         gap = abs(float(Q(dist) - h))
         worst = max(worst, on_carried, meets_image, abs(dot(e, ua)), abs(dot(e, ub)), gap)
     return float(worst) / max(1.0, s)
+
+
+# ---------------------------------------------------------------------------
+# Sequential constellation solver: the program as it built and self-checked
+# the two mirror solutions one after the other, each through the scalar
+# line kernels, the canonicalizing OrientedLine and the validating
+# HelicoidFrame, with every cross product on Python floats.  The program
+# builds and checks both solutions in one pass over arrays and must give
+# the same bits, raise the same first error, and fit the same helicoids.
+
+
+def seq_cross(a, b) -> np.ndarray:
+    a0, a1, a2 = a.tolist()
+    b0, b1, b2 = b.tolist()
+    return np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+
+
+def seq_unit(v) -> np.ndarray:
+    v = np.asarray(v, dtype=float)
+    n = np.linalg.norm(v)
+    if n < 1e-300:
+        raise ValueError("cannot normalize a zero vector")
+    return v / n
+
+
+@dataclass(frozen=True, eq=False)
+class SeqLine:
+    """OrientedLine as one line at a time."""
+
+    point: np.ndarray
+    direction: np.ndarray
+
+    def __post_init__(self) -> None:
+        d = seq_unit(self.direction)
+        p = np.asarray(self.point, dtype=float)
+        if not np.all(np.isfinite(p)):
+            raise ValueError("line point must be finite")
+        p = p - (p @ d) * d
+        object.__setattr__(self, "point", p)
+        object.__setattr__(self, "direction", d)
+
+
+@dataclass(frozen=True)
+class SeqFrame:
+    """HelicoidFrame as one frame at a time."""
+
+    lam: float
+    rotation: np.ndarray
+    translation: np.ndarray
+
+    def __post_init__(self) -> None:
+        R = np.asarray(self.rotation, dtype=float)
+        T = np.asarray(self.translation, dtype=float)
+        if R.shape != (3, 3) or T.shape != (3,):
+            raise ValueError("rotation must be 3x3 and translation a 3-vector")
+        det = float(seq_cross(R[:, 0], R[:, 1]) @ R[:, 2])
+        if np.max(np.abs(R.T @ R - np.eye(3))) > 1e-12 or abs(det - 1.0) > 1e-12:
+            raise ValueError("rotation must be special orthogonal within 1e-12")
+        object.__setattr__(self, "rotation", R)
+        object.__setattr__(self, "translation", T)
+
+
+def seq_angle_between(u, v) -> float:
+    u = np.asarray(u, dtype=float)
+    v = np.asarray(v, dtype=float)
+    return math.atan2(np.linalg.norm(seq_cross(u, v)), float(u @ v))
+
+
+def seq_common_perpendicular_feet(a, b):
+    d = b.point - a.point
+    ua, ub = a.direction, b.direction
+    n = seq_cross(ua, ub)
+    nn = float(n @ n)
+    if nn < PARALLEL_TOL**2:
+        raise ValueError("lines are (nearly) parallel; no unique common perpendicular")
+    ta = float(seq_cross(d, ub) @ n) / nn
+    tb = float(seq_cross(d, ua) @ n) / nn
+    return a.point + ta * ua, b.point + tb * ub
+
+
+def seq_line_distance(a, b) -> float:
+    n = seq_cross(a.direction, b.direction)
+    norm = np.linalg.norm(n)
+    d = b.point - a.point
+    if norm < 1e-12:
+        return float(np.linalg.norm(d - (d @ a.direction) * a.direction))
+    return abs(float(d @ n)) / norm
+
+
+def seq_ruling_residual(rotation, translation, pitch: float, line) -> float:
+    d = rotation.T @ line.direction
+    p = rotation.T @ (line.point - translation)
+    res_horizontal = abs(d[2])
+    dh = math.hypot(d[0], d[1])
+    if dh < 1e-12:
+        return 1.0
+    n = seq_cross(d, np.array([0.0, 0.0, 1.0]))
+    res_axis = abs(float(p @ n)) / np.linalg.norm(n)
+    t_star = -(p[0] * d[0] + p[1] * d[1]) / (dh * dh)
+    z_star = p[2] + t_star * d[2]
+    y_star = -z_star / pitch
+    res_twist = abs(d[0] * math.cos(y_star) + d[1] * math.sin(y_star)) / dh
+    return max(res_horizontal, res_axis, res_twist)
+
+
+def seq_pair_frame(a, b, lam: float, phi: float, qa) -> SeqFrame:
+    n_hat = seq_unit(seq_cross(a.direction, b.direction))
+    e = -_screw_sign(phi) * n_hat
+    sigma = math.copysign(1.0, lam)
+    col0 = -sigma * seq_cross(a.direction, e)
+    col1 = -sigma * a.direction
+    R = np.column_stack([col0, col1, e])
+    return SeqFrame(lam, R, qa)
+
+
+def seq_assemble(phis, lams, u12, u23, u31, convention) -> Constellation:
+    chi = tuple(_screw_sign(p) for p in phis)
+    pitch = tuple(pitch_coefficient(lam, convention) for lam in lams)
+    c = tuple(chi[i] * pitch[i] * phis[i] for i in range(3))
+
+    n1 = seq_unit(seq_cross(u12, u31))
+    n2 = seq_unit(seq_cross(u23, u12))
+    n3 = seq_unit(seq_cross(u31, u23))
+
+    p12 = np.zeros(3)
+    p31 = c[0] * n1
+    e2 = seq_unit(seq_cross(u23, n2))
+    denom = float(e2 @ n3)
+    if abs(denom) < 1e-12:
+        raise ConstellationSolveError("coplanar direction triple; position solve singular")
+    x = -c[1]
+    y = (c[2] + float(p31 @ n3) - x * float(n2 @ n3)) / denom
+    p23 = x * n2 + y * e2
+
+    l12 = SeqLine(p12, u12)
+    l23 = SeqLine(p23, u23)
+    l31 = SeqLine(p31, u31)
+    f1 = seq_pair_frame(l12, l31, lams[0], phis[0], seq_common_perpendicular_feet(l12, l31)[0])
+    f2 = seq_pair_frame(l23, l12, lams[1], phis[1], seq_common_perpendicular_feet(l23, l12)[0])
+    f3 = seq_pair_frame(l31, l23, lams[2], phis[2], seq_common_perpendicular_feet(l31, l23)[0])
+    return Constellation(l12, l23, l31, f1, f2, f3, convention)
+
+
+def seq_verify_constellation(c, phis) -> ConstellationReport:
+    phis = tuple(float(p) for p in phis)
+    containment, angles, distances = [], [], []
+    for i, (a, b, frame) in enumerate(c.pairs()):
+        pitch = pitch_coefficient(frame.lam, c.convention)
+        containment.append(seq_ruling_residual(frame.rotation, frame.translation, pitch, a))
+        containment.append(seq_ruling_residual(frame.rotation, frame.translation, pitch, b))
+        r_i = params.reduced_angle(phis[i])
+        angles.append(abs(seq_angle_between(a.direction, b.direction) - (math.pi - r_i)))
+        h_i = ray_distance_h(phis[i], c.convention)
+        distances.append(abs(seq_line_distance(a, b) - h_i))
+    points = [line.point for line in c.lines()] + [f.translation for _, _, f in c.pairs()]
+    scale = max(abs(x) for v in points for x in v.tolist())
+    return ConstellationReport(tuple(containment), tuple(angles), tuple(distances), scale)
+
+
+def seq_ok(report) -> bool:
+    tol = 1e-9 * max(1.0, report.scale)
+    return (max(report.angle) < 1e-9 and max(report.containment) < tol
+            and max(report.distance) < tol)
+
+
+def seq_solve_constellations(phi1, phi2, phi3, convention=PitchConvention.HALF_GAP,
+                             eps_face: float = 1e-12):
+    outcome = trinoids_classify_triple(phi1, phi2, phi3, eps_face=eps_face)
+    if outcome.tag is TripleTag.PARALLEL_BOUNDARY:
+        warnings.warn(
+            "reduced triple lies on the tetrahedron boundary (parallel "
+            "constellations); no generic solution exists",
+            ParallelBoundaryWarning,
+        )
+        return []
+    if outcome.tag is not TripleTag.GENERIC_ADMISSIBLE:
+        return []
+
+    phis = (phi1, phi2, phi3)
+    r = outcome.reduced
+    s = tuple(math.pi - ri for ri in r)
+    lams = tuple(lambda_of_phi(p) for p in phis)
+    u12 = np.array([1.0, 0.0, 0.0])
+    u31 = np.array([math.cos(s[0]), math.sin(s[0]), 0.0])
+    ax = math.cos(s[1])
+    ay = (math.cos(s[2]) - math.cos(s[0]) * math.cos(s[1])) / math.sin(s[0])
+    az2 = 1.0 - ax * ax - ay * ay
+    if az2 <= 0.0:
+        raise ValueError(
+            f"direction solve degenerate (az^2 = {az2}); triple too close to the boundary"
+        )
+    az = math.sqrt(az2)
+
+    solutions = []
+    for sign in (1.0, -1.0):
+        u23 = np.array([ax, ay, sign * az])
+        sol = seq_assemble(phis, lams, u12, u23, u31, convention)
+        report = seq_verify_constellation(sol, phis)
+        for i, res in enumerate(report.angle):
+            if not res < 1e-9:
+                raise ValueError(
+                    f"direction solve cannot resolve reduced angle r{i + 1} = {r[i]:.3e} "
+                    f"in double precision (angle residual {res:.3e}); triple too close "
+                    "to the boundary"
+                )
+        if not seq_ok(report):
+            raise ConstellationSolveError(
+                f"solution failed self-check: max residual {report.max_residual:.3e}"
+            )
+        solutions.append(replace(sol, self_check=report))
+    return solutions
+
+
+def _wrap_to_pi(x: float) -> float:
+    return (x + math.pi) % (2.0 * math.pi) - math.pi
+
+
+def seq_fit_helicoid(rays, lam: float):
+    """asymptotics.fit_helicoid through the scalar line kernels: (frame,
+    residual, passed, message)."""
+    u1 = rays.ray_pos.direction
+    u2 = rays.ray_neg.direction
+    pitch = 2.0 * lam
+    normal = seq_cross(u1, u2)
+    if np.linalg.norm(normal) < 1e-8:
+        min_gap = abs(pitch) * math.pi
+        gap = rays.vertical_gap
+        ok = gap >= min_gap * (1.0 - 1e-6) - 1e-9
+        return (None, max(0.0, min_gap - gap), ok,
+                "parallel rays: distance lower-bound check only "
+                f"(gap {gap:.6g} vs minimal ruling gap {min_gap:.6g})")
+    q1, q2 = seq_common_perpendicular_feet(rays.ray_pos, rays.ray_neg)
+    n_hat = seq_unit(normal)
+    d = float((q2 - q1) @ n_hat)
+    angle = seq_angle_between(u1, u2)
+    delta_y = -d / pitch
+    mismatch = min(abs(_wrap_to_pi(delta_y - angle)), abs(_wrap_to_pi(delta_y + angle)))
+    sigma = math.copysign(1.0, lam)
+    frame, residual = None, math.inf
+    for e_axis in (n_hat, -n_hat):
+        col1 = sigma * u1
+        R = np.column_stack([seq_cross(col1, e_axis), col1, e_axis])
+        cand = SeqFrame(lam, R, q1)
+        res = max(seq_ruling_residual(R, q1, pitch, rays.ray_pos),
+                  seq_ruling_residual(R, q1, pitch, rays.ray_neg))
+        if res < residual:
+            frame, residual = cand, res
+    ok = residual < FIT_RESIDUAL_TOL
+    msg = "" if ok else (
+        f"no consistent placement: residual {residual:.3e}, "
+        f"twist/angle mismatch {mismatch:.3e} (pitch may not match the rays)"
+    )
+    return frame, residual, ok, msg
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,15 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def run_program(*argv):
+    """Run the command line as a program, so that any warning reaches stderr."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [os.path.join(os.path.dirname(__file__), os.pardir, "src"),
+         os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-m", "trinoids.cli", *argv],
+                          env=env, capture_output=True, text=True, timeout=60)
+
+
 class TestClassify:
     def test_generic(self, capsys):
         code, out, _ = run(capsys, "classify", "1.5707963", "1.5707963", "1.5707963")
@@ -466,15 +475,36 @@ class TestVerifyEnd:
         path = tmp_path / "end.json"
         path.write_text(json.dumps({"kind": "power_end", "alpha": 0.5, "g0_re": 1,
                                     "w0_re": 0.375, **coefficients}))
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [os.path.join(os.path.dirname(__file__), os.pardir, "src"),
-             os.environ.get("PYTHONPATH", "")]))
-        proc = subprocess.run([sys.executable, "-m", "trinoids.cli", "verify-end", str(path)],
-                              env=env, capture_output=True, text=True, timeout=60)
+        proc = run_program("verify-end", str(path))
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr.startswith("error: the data coefficients g0, w0, g1, w1 are too large")
         assert proc.stderr.count("\n") == 1, proc.stderr
+
+    def test_alpha_squared_overflows(self, tmp_path):
+        # alpha^2 overflows: an input error naming alpha, not an internal one
+        path = tmp_path / "end.json"
+        path.write_text(json.dumps({"kind": "power_end", "alpha": 1e200, "g0_re": 1,
+                                    "w0_re": -2.5e199}))
+        proc = run_program("verify-end", str(path))
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == "error: alpha = 1e+200 is too large: alpha^2 overflows\n"
+
+    def test_samples_near_overflow_warn_nothing(self, tmp_path):
+        # radii down to 2^-409 put the samples near 1e306, whose squares
+        # overflow in the ray fit and the helicoid distances: a negative
+        # result with its documents, and no numpy warning on stderr
+        path = self.make_data_file(tmp_path, alpha=2.5)
+        out_json, out_csv = tmp_path / "out.json", tmp_path / "out.csv"
+        proc = run_program("verify-end", str(path), "--min-radius-exp", "409", "--tol", "1e300",
+                           "--arc-samples", "9", "--boundary-samples", "8",
+                           "--json", str(out_json), "--csv", str(out_csv))
+        assert proc.returncode == 1
+        assert proc.stderr == ""
+        assert out_json.read_text() == proc.stdout
+        assert json.loads(proc.stdout)["pass"] is False
+        assert out_csv.read_text().startswith("radius,sup_distance")
 
     @pytest.mark.parametrize("flag,value", [
         ("--fit-lambda", "0"),

@@ -20,7 +20,8 @@ from trinoids.constellation import (
     verify_constellation,
 )
 from trinoids.emit import dump_json
-from trinoids.lines import OrientedLine, angle_between, line_distance, unit
+from oracles import seq_line_distance as line_distance
+from trinoids.lines import OrientedLine, angle_between, unit
 from trinoids.params import PitchConvention, ray_distance_h, reduced_angle
 
 PI = math.pi
@@ -95,20 +96,23 @@ class TestSolve:
         assert built.self_check is None
 
     def test_cli_checks_each_solution_once(self, tmp_path, monkeypatch, capsys):
+        # the one self-check kernel reports on each solution once, in one call
+        # for both, and the CLI emits those reports without checking again
         calls = []
-        verify = constellation.verify_constellation
+        self_check = constellation._self_check
 
-        def counting(c, phis):
-            calls.append(phis)
-            return verify(c, phis)
+        def counting(*args):
+            reports = self_check(*args)
+            calls.append(len(reports))
+            return reports
 
-        monkeypatch.setattr(constellation, "verify_constellation", counting)
-        for phis, checks in [(("1.6", "1.6", "1.6"), 2), (("0.3", "0.3", "0.3"), 0)]:
+        monkeypatch.setattr(constellation, "_self_check", counting)
+        for phis, checks in [(("1.6", "1.6", "1.6"), [2]), (("0.3", "0.3", "0.3"), [])]:
             calls.clear()
             path = tmp_path / f"{phis[0]}.json"
             code = cli.main(["constellation", *phis, "--json", str(path)])
             out = capsys.readouterr().out
-            assert len(calls) == checks
+            assert calls == checks
             assert path.read_text() == out
             assert code == (0 if checks else 1)
 
