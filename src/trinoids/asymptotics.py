@@ -27,14 +27,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .constellation import HelicoidFrame
-from .lines import (
-    OrientedLine,
-    angle_between,
-    common_perpendicular_feet,
-    cross,
-    ruling_residual,
-    unit,
-)
+from .lines import OrientedLine, cross3, dot_rows, line_pairs, ruling_residual, scaled
 from .params import PitchConvention, ray_distance_h, reduced_angle
 from .weierstrass import (
     PowerEndData,
@@ -227,7 +220,8 @@ def fit_rays(sample: EndSample) -> RayFit:
         deviation_pos=dev_pos,
         deviation_neg=dev_neg,
         vertical_gap=gap,
-        angle=angle_between(ray_pos.direction, ray_neg.direction),
+        angle=line_pairs(*([v.tolist()] for v in (ray_pos.point, ray_pos.direction,
+                                                  ray_neg.point, ray_neg.direction))).angle[0],
     )
 
 
@@ -256,11 +250,12 @@ def fit_helicoid(rays: RayFit, lam: float) -> HelicoidFit:
     the lower distance bound 2*|lambda|*pi for distinct parallel rulings is
     checked in that case, and no frame is produced.
     """
-    u1 = rays.ray_pos.direction
-    u2 = rays.ray_neg.direction
+    pos, neg = rays.ray_pos, rays.ray_neg
+    p1, u1, p2, u2 = (v.tolist() for v in (pos.point, pos.direction, neg.point, neg.direction))
     pitch = 2.0 * lam
-    normal = cross(u1, u2)
-    if np.linalg.norm(normal) < 1e-8:
+    pairs = line_pairs([p1], [u1], [p2], [u2])
+    norm = math.sqrt(pairs.nn[0])
+    if norm < 1e-8:
         min_gap = abs(pitch) * math.pi
         gap = rays.vertical_gap
         ok = gap >= min_gap * (1.0 - 1e-6) - 1e-9
@@ -274,13 +269,10 @@ def fit_helicoid(rays: RayFit, lam: float) -> HelicoidFit:
             ),
         )
 
-    pos, neg = rays.ray_pos, rays.ray_neg
-    (q1,), (q2,) = common_perpendicular_feet([pos.point.tolist()], [u1.tolist()],
-                                             [neg.point.tolist()], [u2.tolist()])
-    q1, q2 = np.array(q1), np.array(q2)
-    n_hat = unit(normal)
-    d = float((q2 - q1) @ n_hat)
-    angle = angle_between(u1, u2)
+    q1, q2 = pairs.qa[0], pairs.qb[0]
+    n_hat = scaled(pairs.n[0], norm)
+    (d,) = dot_rows([[b - a for a, b in zip(q1, q2)]], [n_hat])
+    angle = pairs.angle[0]
     # consistency: the twist implied by the gap must match the measured angle
     delta_y = -d / pitch
     mismatch = min(
@@ -289,13 +281,12 @@ def fit_helicoid(rays: RayFit, lam: float) -> HelicoidFit:
     sigma = math.copysign(1.0, lam)
     # the axis direction is +/- the common perpendicular; the screw sense
     # picks one of them, so try both and keep the consistent placement
-    col1 = sigma * u1
-    candidates = [HelicoidFrame(lam, np.column_stack([cross(col1, e_axis), col1, e_axis]), q1)
-                  for e_axis in (n_hat, -n_hat)]
+    col1 = [sigma * x for x in u1]
+    candidates = [HelicoidFrame(lam, np.column_stack([cross3(col1, e_axis), col1, e_axis]), q1)
+                  for e_axis in (n_hat, [-x for x in n_hat])]
     # both rays against both candidates, in one call
     both = ruling_residual(np.array([c.rotation for c in candidates for _ in (0, 1)]),
-                           [q1.tolist()] * 4, [pitch] * 4,
-                           [pos.point.tolist(), neg.point.tolist()] * 2, [u1.tolist(), u2.tolist()] * 2)
+                           [q1] * 4, [pitch] * 4, [p1, p2] * 2, [u1, u2] * 2)
     frame, residual = None, math.inf
     for cand, res_pos, res_neg in zip(candidates, both[::2], both[1::2]):
         res = max(res_pos, res_neg)

@@ -22,16 +22,6 @@ from .params import reduced_angle
 
 PI = math.pi
 
-#: Tetrahedron vertices, one per row.
-TETRAHEDRON_VERTICES = np.array(
-    [
-        [PI, 0.0, 0.0],
-        [0.0, PI, 0.0],
-        [0.0, 0.0, PI],
-        [PI, PI, PI],
-    ]
-)
-
 
 class Membership(Enum):
     INTERIOR = 1
@@ -102,14 +92,6 @@ def _checked_triple(values, hi: float, hi_name: str, what: str) -> tuple:
     return triple
 
 
-def tetrahedron_slacks(r1: float, r2: float, r3: float) -> np.ndarray:
-    """Four half-space slacks; the reduced triple is interior iff all > 0.
-
-    Order: [r1+r2+r3-pi, pi-(r1+r2-r3), pi-(r1-r2+r3), pi-(-r1+r2+r3)].
-    """
-    return np.array(inequality_slacks(r1, r2, r3, PI))
-
-
 def tetrahedron_contains(r_triple, eps_face: float = 0.0) -> Membership:
     """Half-space membership test for a reduced triple in [0, pi]^3.
 
@@ -118,29 +100,6 @@ def tetrahedron_contains(r_triple, eps_face: float = 0.0) -> Membership:
     """
     r = _checked_triple(r_triple, PI, "pi", "reduced angles")
     return Membership(_membership_code(inequality_slacks(*r, PI), eps_face))
-
-
-def barycentric_coordinates(r_triples: np.ndarray) -> np.ndarray:
-    """Barycentric coordinates of points w.r.t. TETRAHEDRON_VERTICES.
-
-    Accepts shape (3,) or (N, 3); returns shape (4,) or (N, 4).  Solved
-    through the 4x4 vertex system, independently of tetrahedron_slacks.
-    """
-    pts = np.atleast_2d(np.asarray(r_triples, dtype=float))
-    system = np.vstack([TETRAHEDRON_VERTICES.T, np.ones(4)])
-    rhs = np.hstack([pts, np.ones((pts.shape[0], 1))])
-    bary = np.linalg.solve(system, rhs.T).T
-    return bary[0] if np.asarray(r_triples).ndim == 1 else bary
-
-
-def barycentric_membership(r_triple, eps_face: float = 0.0) -> Membership:
-    """Membership via barycentric coordinates (oracle for tetrahedron_contains).
-
-    The coordinates are rescaled by 2*pi so that eps_face has the same
-    meaning as in the half-space test.
-    """
-    r = _checked_triple(r_triple, PI, "pi", "reduced angles")
-    return Membership(int(barycentric_membership_batch([r], eps_face)[0]))
 
 
 def bobenko_admissible(deltas, eps: float = 0.0) -> Membership:
@@ -177,12 +136,6 @@ def tetrahedron_membership_batch(r_triples: np.ndarray, eps_face: float = 0.0) -
     r = np.asarray(r_triples, dtype=float)
     slacks = inequality_slacks(r[:, 0], r[:, 1], r[:, 2], PI)
     return _membership_code(slacks, eps_face).astype(np.int8)
-
-
-def barycentric_membership_batch(r_triples: np.ndarray, eps_face: float = 0.0) -> np.ndarray:
-    """Vectorized barycentric test; returns int8 array of Membership values."""
-    bary = barycentric_coordinates(np.asarray(r_triples, dtype=float)) * (2.0 * PI)
-    return _membership_code(bary.T, eps_face).astype(np.int8)
 
 
 def bobenko_membership_batch(delta_triples: np.ndarray, eps: float = 0.0) -> np.ndarray:

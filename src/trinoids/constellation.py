@@ -37,14 +37,12 @@ from .lines import (
     ZERO_VECTOR,
     LinePairs,
     OrientedLine,
-    angle_between,
     canonical_rows,
     cross3,
     dot_rows,
     line_pairs,
     ruling_residual,
     scaled,
-    signed_gap,
 )
 from .params import (
     PitchConvention,
@@ -193,7 +191,7 @@ def solve_constellations(
     direction (1, 0, 0) and l31's direction lies in the xy-plane.  Each
     frame is placed once, in closed form: the common perpendicular of its
     two lines is the helicoid axis, and the frame sits at its foot on the
-    carried line (lines.common_perpendicular_feet).
+    carried line (lines.line_pairs).
 
     The two solutions, l23's direction (ax, ay, +az) and (ax, ay, -az), are
     built and checked together in one pass over arrays; pair 1 (l12, l31,
@@ -407,11 +405,17 @@ def _invariant_set(lines) -> Tuple[np.ndarray, np.ndarray, float]:
     invariants are directly comparable between labeled triples.
     """
     l12, l23, l31 = lines
-    pairs = ((l12, l31), (l23, l12), (l31, l23))
-    angles = np.array([angle_between(a.direction, b.direction) for a, b in pairs])
-    gaps = np.array([signed_gap(a, b) for a, b in pairs])
+    pa, ua, pb, ub = [[v.tolist() for v in column] for column in zip(*(
+        (a.point, a.direction, b.point, b.direction) for a, b in ((l12, l31), (l23, l12), (l31, l23))))]
+    pairs = line_pairs(pa, ua, pb, ub)
+    # a pair whose u_a x u_b has no direction has no signed offset
+    norms = [math.sqrt(x) for x in pairs.nn]
+    if any(norm < ZERO_NORM for norm in norms):
+        raise ValueError(ZERO_VECTOR)
+    gaps = dot_rows([[y - x for x, y in zip(p, q)] for p, q in zip(pa, pb)],
+                    [scaled(n, norm) for n, norm in zip(pairs.n, norms)])
     triple = float(np.linalg.det(np.column_stack([l12.direction, l23.direction, l31.direction])))
-    return angles, gaps, math.copysign(1.0, triple)
+    return np.array(pairs.angle), np.array(gaps), math.copysign(1.0, triple)
 
 
 def _invariants_match(a, b, handedness: float) -> bool:

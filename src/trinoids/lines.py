@@ -2,11 +2,13 @@
 
 The array functions take one row per item: (k, 3) arrays, or lists of
 k rows of three floats.  Each row gets the bits of numpy's expression for a
-single vector.  The arithmetic runs on Python floats, as in ``cross3``, and
-every dot product and norm of one dependency level is one BLAS dot per row,
-taken for all rows by a single batched (k, 1, 3) @ (k, 3, 1) matmul
-(``dot_rows``).  That matmul, not an explicit sum of products, carries the
-bits of ``a @ b``: numpy's 3-vector dot fuses multiplies and adds.
+single vector; a single vector or pair of lines is a one-row call, so
+each formula has one implementation.  The arithmetic runs on Python
+floats, as in ``cross3``, and every dot product and norm of one
+dependency level is one BLAS dot per row, taken for all rows by a single
+batched (k, 1, 3) @ (k, 3, 1) matmul (``dot_rows``).  That matmul, not an
+explicit sum of products, carries the bits of ``a @ b``: numpy's 3-vector
+dot fuses multiplies and adds.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain
-from typing import List, NamedTuple, Sequence, Tuple
+from typing import List, NamedTuple, Sequence
 
 import numpy as np
 
@@ -44,11 +46,6 @@ def cross3(a: Sequence[float], b: Sequence[float]) -> List[float]:
     return [a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0]
 
 
-def cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Cross product of two float 3-vectors (numpy's ``cross``, bit for bit)."""
-    return np.array(cross3(a.tolist(), b.tolist()))
-
-
 def rows(x) -> Rows:
     """Rows of Python floats of a (k, 3) array or of a list of rows."""
     return x.tolist() if isinstance(x, np.ndarray) else x
@@ -64,31 +61,15 @@ def dot_rows(a: Rows, b: Rows) -> List[float]:
 
 def scaled(v: Sequence[float], norm: float) -> List[float]:
     """v / norm, as numpy divides an array by a scalar; NaN for a norm
-    below ZERO_NORM, where unit() refuses."""
+    below ZERO_NORM, where a vector has no direction."""
     if norm < ZERO_NORM:
         return [math.nan] * 3
     return [x / norm for x in v]
 
 
-def unit(v: np.ndarray) -> np.ndarray:
-    v = np.asarray(v, dtype=float)
-    n = np.linalg.norm(v)
-    if n < ZERO_NORM:
-        raise ValueError(ZERO_VECTOR)
-    return v / n
-
-
 def _angle(nn: float, uv: float) -> float:
     """Angle between u and v from |u x v|^2 and u . v, robust near 0 and pi."""
     return math.atan2(math.sqrt(nn), uv)
-
-
-def angle_between(u: np.ndarray, v: np.ndarray) -> float:
-    """Angle in [0, pi] between two vectors, robust near 0 and pi."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    n = cross(u, v)
-    return _angle(float(n @ n), float(u @ v))
 
 
 def canonical_rows(points, directions):
@@ -194,21 +175,6 @@ def line_pairs(pa, ua, pb, ub) -> LinePairs:
     qb = [nan if par else [x + t / s * u for x, u in zip(p, b)]
           for p, b, t, s, par in zip(pb, ub, tb, nn, parallel)]
     return LinePairs(n, nn, parallel, [_angle(x, c) for x, c in zip(nn, uv)], distance, qa, qb)
-
-
-def common_perpendicular_feet(pa, ua, pb, ub) -> Tuple[Rows, Rows]:
-    """Feet (qa, qb) of the common perpendiculars of pairs of lines, as rows
-    (see line_pairs).  Raises ValueError if any pair is (nearly) parallel."""
-    pairs = line_pairs(pa, ua, pb, ub)
-    if any(pairs.parallel):
-        raise ValueError(PARALLEL)
-    return pairs.qa, pairs.qb
-
-
-def signed_gap(a: OrientedLine, b: OrientedLine) -> float:
-    """Perpendicular offset of b from a along unit(a.direction x b.direction)."""
-    n = unit(cross(a.direction, b.direction))
-    return float((b.point - a.point) @ n)
 
 
 def ruling_residual(rotation: np.ndarray, translation, pitch, point, direction) -> List[float]:

@@ -120,7 +120,8 @@ def lambda_of_phi(phi) -> float:
     carries the absolute round-off of pi, so |lambda| below ~1e-12 cannot be
     recovered to full relative precision; callers sampling near the puncture
     are responsible for staying away from it.  Above phi of about 4e8 the
-    result rounds to -1/4, and above about 1e154 it is NaN; both raise.
+    result rounds to -1/4, and above about 7e153 it is -0.0 or NaN; all
+    three raise, as does an infinite result below phi of about 1e-154.
     """
     phi = _unwrap(phi, Angle)
     _check_phi(phi)
@@ -134,10 +135,12 @@ def _lambda_of_angle(phi: float, name: str, value: float) -> float:
         raise ValueError(f"{name} = {value} gives the end angle {phi}, "
                          "outside (0, inf) \\ {pi}")
     denom = 4.0 * phi * phi
-    if denom == 0.0:
+    # a subnormal denom overflows the quotient, and a zero one would divide by 0
+    lam = (math.pi - phi) * (math.pi + phi) / denom if denom else math.inf
+    if lam == math.inf:
         raise ValueError(f"{name} = {value} is too small: lambda({name}) overflows")
-    lam = (math.pi - phi) * (math.pi + phi) / denom
-    if not lam > -0.25:
+    # lambda is 0 only where 4 phi^2 overflows and (pi - phi)(pi + phi) does not
+    if not lam > -0.25 or lam == 0.0:
         raise ValueError(f"{name} = {value} is too large: lambda({name}) rounds to -1/4")
     return lam
 

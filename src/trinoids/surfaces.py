@@ -10,8 +10,7 @@ Three one-parameter families, all indexed by lambda in I = (-1/4, inf) \\ {0}:
 * catenoid_cousin_point -- mean-curvature-1 surface in the upper half-space
                           model of hyperbolic 3-space
 
-plus a fixed isometry between the upper half-space and Poincare ball models
-and a finite-difference mean-curvature estimator in either ambient metric.
+plus a fixed isometry between the upper half-space and Poincare ball models.
 """
 
 from __future__ import annotations
@@ -19,11 +18,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Optional
 
 import numpy as np
 
-from .lines import cross
 from .params import _check_lambda
 
 # SurfaceGrid.validate accepts normals whose length is within this of 1
@@ -206,67 +203,6 @@ def gauss_normal_from_g(g) -> np.ndarray:
     return normals
 
 
-@dataclass(frozen=True)
-class CurvatureEstimate:
-    """Finite-difference mean-curvature value plus accuracy metadata."""
-
-    value: float
-    step: float
-    warning: Optional[str] = None
-
-
-def mean_curvature_estimate(
-    sampler: Callable[[float, float], np.ndarray],
-    model: Model,
-    x: float,
-    y: float,
-    step: float = 1e-3,
-) -> CurvatureEstimate:
-    """Second-order mean curvature of a parametrized surface at (x, y).
-
-    ``sampler(x, y)`` must return a 3-vector in the coordinates of ``model``.
-    For EUCLIDEAN, the classical first/second fundamental form quotient with
-    respect to the normal Xu x Xv / |Xu x Xv|.  For UPPER_HALF_SPACE, the
-    metric (du^2+dv^2+dw^2)/w^2 is used via H_hyp = w * H_euc + n_w; with
-    this sign the catenoid cousin reports +1 and a horosphere {w = c} with
-    upward normal reports +1.
-    """
-    if not step > 0.0:
-        raise ValueError("step must be positive")
-    warning = None
-    if step > 1e-1 or step < 1e-7:
-        warning = f"step {step} outside trusted range [1e-7, 1e-1]"
-
-    def F(a: float, b: float) -> np.ndarray:
-        return np.asarray(sampler(a, b), dtype=float)
-
-    h = step
-    Xu = (F(x + h, y) - F(x - h, y)) / (2 * h)
-    Xv = (F(x, y + h) - F(x, y - h)) / (2 * h)
-    Xuu = (F(x + h, y) - 2 * F(x, y) + F(x - h, y)) / h**2
-    Xvv = (F(x, y + h) - 2 * F(x, y) + F(x, y - h)) / h**2
-    Xuv = (F(x + h, y + h) - F(x + h, y - h) - F(x - h, y + h) + F(x - h, y - h)) / (4 * h**2)
-
-    n = cross(Xu, Xv)
-    norm = np.linalg.norm(n)
-    if norm < 1e-14:
-        return CurvatureEstimate(math.nan, step, "degenerate tangent plane")
-    n = n / norm
-    E, Fq, G = Xu @ Xu, Xu @ Xv, Xv @ Xv
-    ee, ff, gg = n @ Xuu, n @ Xuv, n @ Xvv
-    denom = E * G - Fq * Fq
-    if abs(denom) < 1e-16 * max(E * G, 1.0):
-        return CurvatureEstimate(math.nan, step, "degenerate first fundamental form")
-    h_euc = (ee * G - 2 * ff * Fq + gg * E) / (2 * denom)
-
-    if model is Model.EUCLIDEAN:
-        return CurvatureEstimate(float(h_euc), step, warning)
-    if model is Model.UPPER_HALF_SPACE:
-        w = F(x, y)[2]
-        return CurvatureEstimate(float(w * h_euc + n[2]), step, warning)
-    raise ValueError(f"mean curvature estimator not implemented for model {model}")
-
-
 @dataclass(frozen=True, eq=False)
 class SurfaceGrid:
     """Sampled immersion on a rectangular parameter grid.
@@ -311,11 +247,14 @@ def surface_grid(kind: str, lam: float, xs, ys, ball_model: bool = False) -> Sur
     """Sample one of the catalog surfaces over xs x ys.
 
     kind is "helicoid", "catenoid" or "cousin".  Helicoid and catenoid
-    normals come from the Gauss map g = e^{x+iy} through
-    gauss_normal_from_g; cousin normals are central-difference normals of
-    the parametrization (oriented along Xx x Xy).  With ball_model=True the
-    cousin is pushed through halfspace_to_ball (positions only; normals are
-    recomputed by differencing the mapped surface).
+    normals are the inverse stereographic projection of the Gauss map
+    g = e^{x+iy}, (2 Re g, 2 Im g, |g|^2 - 1) / (|g|^2 + 1), with |g|^2
+    taken as abs(g)**2, inline: gauss_normal_from_g sums Re g^2 + Im g^2,
+    which can differ in the last bit.  Cousin normals are central-difference
+    normals of the parametrization (oriented along Xx x Xy).  With
+    ball_model=True the cousin is pushed through halfspace_to_ball
+    (positions only; normals are recomputed by differencing the mapped
+    surface).
     """
     if kind not in _EVALUATORS:
         raise ValueError(f"unknown surface kind {kind!r}")

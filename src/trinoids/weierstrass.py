@@ -125,7 +125,7 @@ class PowerEndData:
     """g = z^alpha (g0 + z g1(z)), omega = omega_factor z^{-1-alpha} (w0 + z w1(z)) dz.
 
     g1 and w1 are polynomial coefficient tuples in ascending powers of z.
-    Construction enforces alpha > 0, alpha != 1 and the compatibility
+    Construction enforces 0 < alpha < inf, alpha != 1 and the compatibility
     g0 * w0 = (1 - alpha^2)/(4 alpha) to 1e-12 relative accuracy.
     """
 
@@ -137,8 +137,8 @@ class PowerEndData:
     omega_factor: complex = 1 + 0j
 
     def __post_init__(self) -> None:
-        if not (self.alpha > 0.0) or self.alpha == 1.0:
-            raise ValueError(f"alpha must be positive and != 1, got {self.alpha}")
+        if not (0.0 < self.alpha < math.inf) or self.alpha == 1.0:
+            raise ValueError(f"alpha must be positive, finite and != 1, got {self.alpha}")
         object.__setattr__(self, "g0", complex(self.g0))
         object.__setattr__(self, "w0", complex(self.w0))
         object.__setattr__(self, "g1", tuple(complex(c) for c in self.g1))

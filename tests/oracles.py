@@ -18,7 +18,8 @@ These deliberately avoid the code paths they check:
 * the emitter oracles format one float at a time instead of a whole array
   at once;
 * the classification oracles write out each slack formula and membership
-  rule separately;
+  rule separately, and test membership by barycentric coordinates too;
+* the mean-curvature estimator differences the closed-form surfaces;
 * the helicoid distance oracle loops over points one at a time;
 * the constellation oracles take every cross product with np.cross and
   check frames in exact rational arithmetic;
@@ -36,6 +37,7 @@ import warnings
 from dataclasses import dataclass, fields, replace
 from enum import Enum
 from fractions import Fraction
+from typing import Callable, Optional
 
 import jsonschema
 import numpy as np
@@ -53,8 +55,9 @@ from trinoids.constellation import (
     ParallelBoundaryWarning,
     _screw_sign,
 )
-from trinoids.lines import PARALLEL_TOL, OrientedLine, unit
+from trinoids.lines import PARALLEL_TOL, OrientedLine
 from trinoids.params import PitchConvention, lambda_of_phi, pitch_coefficient, ray_distance_h
+from trinoids.surfaces import Model
 from trinoids.weierstrass import (
     _EPS,
     _EXPM1_BELOW,
@@ -304,6 +307,72 @@ def direction_triple_hits(target_angles, res_deg: float = 1.0, tol_deg: float = 
 def triple_has_direction_solution(r_triple, res_deg: float = 1.0, tol_deg: float = 1.5) -> bool:
     s = [math.pi - r for r in r_triple]
     return bool(direction_triple_hits((s[0], s[1], s[2]), res_deg, tol_deg))
+
+
+# --- mean curvature ------------------------------------------------------------
+# A finite-difference estimator that only the tests use: it checks that the
+# closed-form catalog surfaces have the mean curvature they claim.
+
+@dataclass(frozen=True)
+class CurvatureEstimate:
+    """Finite-difference mean-curvature value plus accuracy metadata."""
+
+    value: float
+    step: float
+    warning: Optional[str] = None
+
+
+def mean_curvature_estimate(
+    sampler: Callable[[float, float], np.ndarray],
+    model: Model,
+    x: float,
+    y: float,
+    step: float = 1e-3,
+) -> CurvatureEstimate:
+    """Second-order mean curvature of a parametrized surface at (x, y).
+
+    ``sampler(x, y)`` must return a 3-vector in the coordinates of ``model``.
+    For EUCLIDEAN, the classical first/second fundamental form quotient with
+    respect to the normal Xu x Xv / |Xu x Xv|.  For UPPER_HALF_SPACE, the
+    metric (du^2+dv^2+dw^2)/w^2 is used via H_hyp = w * H_euc + n_w; with
+    this sign the catenoid cousin reports +1 and a horosphere {w = c} with
+    upward normal reports +1.
+    """
+    if not step > 0.0:
+        raise ValueError("step must be positive")
+    warning = None
+    if step > 1e-1 or step < 1e-7:
+        warning = f"step {step} outside trusted range [1e-7, 1e-1]"
+
+    def F(a: float, b: float) -> np.ndarray:
+        return np.asarray(sampler(a, b), dtype=float)
+
+    h = step
+    Xu = (F(x + h, y) - F(x - h, y)) / (2 * h)
+    Xv = (F(x, y + h) - F(x, y - h)) / (2 * h)
+    Xuu = (F(x + h, y) - 2 * F(x, y) + F(x - h, y)) / h**2
+    Xvv = (F(x, y + h) - 2 * F(x, y) + F(x, y - h)) / h**2
+    Xuv = (F(x + h, y + h) - F(x + h, y - h) - F(x - h, y + h) + F(x - h, y - h)) / (4 * h**2)
+
+    n = np.cross(Xu, Xv)
+    norm = np.linalg.norm(n)
+    if norm < 1e-14:
+        return CurvatureEstimate(math.nan, step, "degenerate tangent plane")
+    n = n / norm
+    E, Fq, G = Xu @ Xu, Xu @ Xv, Xv @ Xv
+    ee, ff, gg = n @ Xuu, n @ Xuv, n @ Xvv
+    denom = E * G - Fq * Fq
+    if abs(denom) < 1e-16 * max(E * G, 1.0):
+        return CurvatureEstimate(math.nan, step, "degenerate first fundamental form")
+    h_euc = (ee * G - 2 * ff * Fq + gg * E) / (2 * denom)
+
+    if model is Model.EUCLIDEAN:
+        return CurvatureEstimate(float(h_euc), step, warning)
+    if model is Model.UPPER_HALF_SPACE:
+        w = F(x, y)[2]
+        return CurvatureEstimate(float(w * h_euc + n[2]), step, warning)
+    raise ValueError(f"mean curvature estimator not implemented for model {model}")
+
 
 
 # --- emitters ----------------------------------------------------------------
@@ -873,7 +942,7 @@ def angle_between(u, v) -> float:
 
 def rotation_about(axis, angle: float) -> np.ndarray:
     """Right-handed rotation matrix about a unit axis (Rodrigues)."""
-    k = unit(axis)
+    k = seq_unit(axis)
     K = np.array([[0, -k[2], k[1]], [k[2], 0, -k[0]], [-k[1], k[0], 0]])
     return np.eye(3) + math.sin(angle) * K + (1.0 - math.cos(angle)) * (K @ K)
 
@@ -888,7 +957,7 @@ def line_distance(a, b) -> float:
 
 
 def signed_gap(a, b) -> float:
-    n = unit(np.cross(a.direction, b.direction))
+    n = seq_unit(np.cross(a.direction, b.direction))
     return float((b.point - a.point) @ n)
 
 
@@ -922,7 +991,7 @@ def common_perpendicular_foot(a, b):
 
 def _pair_frame(a, b, lam: float, phi: float, convention):
     qa = common_perpendicular_foot(a, b)
-    n_hat = unit(np.cross(a.direction, b.direction))
+    n_hat = seq_unit(np.cross(a.direction, b.direction))
     e = -_screw_sign(phi) * n_hat
     sigma = math.copysign(1.0, lam)
     col0 = -sigma * np.cross(a.direction, e)
@@ -936,13 +1005,13 @@ def _assemble(phis, lams, u12, u23, u31, convention):
     pitch = tuple(pitch_coefficient(lam, convention) for lam in lams)
     c = tuple(chi[i] * pitch[i] * phis[i] for i in range(3))
 
-    n1 = unit(np.cross(u12, u31))
-    n2 = unit(np.cross(u23, u12))
-    n3 = unit(np.cross(u31, u23))
+    n1 = seq_unit(np.cross(u12, u31))
+    n2 = seq_unit(np.cross(u23, u12))
+    n3 = seq_unit(np.cross(u31, u23))
 
     p12 = np.zeros(3)
     p31 = c[0] * n1
-    e2 = unit(np.cross(u23, n2))
+    e2 = seq_unit(np.cross(u23, n2))
     denom = float(e2 @ n3)
     if abs(denom) < 1e-12:
         raise ConstellationSolveError("coplanar direction triple; position solve singular")

@@ -12,12 +12,12 @@ import warnings
 import numpy as np
 
 import oracles
+from oracles import angle_between, barycentric_membership_batch, mean_curvature_estimate
 from trinoids import cli
 from trinoids import weierstrass as W
 from trinoids.asymptotics import verify_end
 from trinoids.classify import (
     Membership,
-    barycentric_membership_batch,
     bobenko_membership_batch,
     tetrahedron_membership_batch,
 )
@@ -28,7 +28,6 @@ from trinoids.constellation import (
     solve_constellations,
     verify_constellation,
 )
-from trinoids.lines import angle_between
 from trinoids.params import (
     bps_to_lambda,
     bryant_mu_to_lambda,
@@ -43,7 +42,6 @@ from trinoids.surfaces import (
     catenoid_cousin_point,
     cousin_period,
     helicoid_point,
-    mean_curvature_estimate,
 )
 
 PI = math.pi

@@ -120,7 +120,9 @@ class TestConvert:
         code, _, err = run(capsys, "convert", "--from", "lambda", "0")
         assert code == 2
 
-    @pytest.mark.parametrize("source,value", [("phi", "1e-200"), ("bps", "3.2754355451562094e-240")])
+    @pytest.mark.parametrize("source,value", [("phi", "1e-200"), ("bps", "3.2754355451562094e-240"),
+                                              ("phi", "1e-160"), ("bps", "1e-161"),
+                                              ("phi", "5e-324")])
     def test_tiny_angle(self, capsys, source, value):
         # the message names the parameter the user passed, not the angle
         code, out, err = run(capsys, "convert", "--from", source, value)
@@ -132,6 +134,7 @@ class TestConvert:
     @pytest.mark.parametrize("source,value,phi", [
         ("phi", "1e10", "10000000000.0"),
         ("phi", "1e200", "1e+200"),
+        ("phi", "1e154", "1e+154"),
         ("mu", "1e200", repr(PI * (2e200 + 1))),
         ("bps", "1e10", repr(2 * PI * 1e10)),
     ])
@@ -490,6 +493,16 @@ class TestVerifyEnd:
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr == "error: alpha = 1e+200 is too large: alpha^2 overflows\n"
+
+    def test_infinite_alpha(self, tmp_path):
+        # alpha = inf is bad data: the one error line names alpha, not the
+        # --tol that its NaN rounding budget would fail
+        path = tmp_path / "end.json"
+        path.write_text('{"kind":"power_end","alpha":Infinity,"g0_re":1,"w0_re":1}')
+        proc = run_program("verify-end", str(path))
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == "error: alpha must be positive, finite and != 1, got inf\n"
 
     def test_samples_near_overflow_warn_nothing(self, tmp_path):
         # radii down to 2^-409 put the samples near 1e306, whose squares

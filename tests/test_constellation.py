@@ -20,8 +20,8 @@ from trinoids.constellation import (
     verify_constellation,
 )
 from trinoids.emit import dump_json
-from oracles import seq_line_distance as line_distance
-from trinoids.lines import OrientedLine, angle_between, unit
+from oracles import angle_between, seq_line_distance as line_distance, seq_unit as unit
+from trinoids.lines import OrientedLine
 from trinoids.params import PitchConvention, ray_distance_h, reduced_angle
 
 PI = math.pi
@@ -188,6 +188,21 @@ class TestCongruence:
         sol = solve_constellations(1.6, 2.0, 2.2)[0]
         swapped = (sol.l23, sol.l12, sol.l31)
         assert not lines_congruent(sol.lines(), swapped)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_parallel_pair_refused(self, sign):
+        # l12 and l23 are parallel or antiparallel: their signed offset is
+        # along the direction of a zero cross product, which does not exist,
+        # so the test refuses instead of deciding
+        sol = solve_constellations(1.6, 2.0, 2.2)[0]
+        parallel = (OrientedLine([0.0, 0.0, 0.0], [1.0, 0.0, 0.0]),
+                    OrientedLine([0.0, 1.0, 0.0], [sign, 0.0, 0.0]),
+                    OrientedLine([0.0, 0.0, 1.0], [0.0, 1.0, 1.0]))
+        for test in (lines_congruent, mirror_related):
+            for a, b in ((parallel, sol.lines()), (sol.lines(), parallel), (parallel, parallel)):
+                with pytest.raises(ValueError) as exc:
+                    test(a, b)
+                assert str(exc.value) == "cannot normalize a zero vector"
 
 
 class TestFrames:

@@ -1,12 +1,12 @@
-"""lines.cross and everything built on it against np.cross.
+"""lines.cross3 and everything built on it against np.cross.
 
 The program takes every cross product of two single 3-vectors with
-trinoids.lines.cross; the original (tests/oracles.py) took them with
-np.cross.  The kernel must give the same bits, so every line, rotation,
-invariant set and CLI output must be the same bytes.  The original also
-placed each frame at the textbook perpendicular foot, which divides by
-1 - (u_a . u_b)^2; the program divides by |u_a x u_b|^2, so frame
-translations are compared to rounding.  The original's self-check was
+trinoids.lines.cross3, on Python floats; the original (tests/oracles.py)
+took them with np.cross.  The kernel must give the same bits, so every
+line, rotation, invariant set and CLI output must be the same bytes.  The
+original also placed each frame at the textbook perpendicular foot, which
+divides by 1 - (u_a . u_b)^2; the program divides by |u_a x u_b|^2, so
+frame translations are compared to rounding.  The original's self-check was
 absolute; the program's scales its containment and distance parts with the
 coordinates, so where the two disagree the program's frames are checked
 against oracles.exact_frame_residual.
@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 import oracles
-from trinoids import asymptotics, cli, constellation, lines, surfaces
+from trinoids import asymptotics, cli, constellation, lines
 from trinoids import weierstrass as W
 from trinoids.constellation import (
     ConstellationSolveError,
@@ -48,7 +48,7 @@ class TestKernel:
         n = 100_000
         scale = np.exp(rng.uniform(-40.0, 40.0, (n, 2, 1)))
         vecs = rng.standard_normal((n, 2, 3)) * scale
-        got = np.array([lines.cross(a, b) for a, b in vecs])
+        got = np.array([lines.cross3(a, b) for a, b in vecs.tolist()])
         assert bits(got) == bits(np.cross(vecs[:, 0], vecs[:, 1]))
 
     def test_special_values(self):
@@ -58,18 +58,17 @@ class TestKernel:
             warnings.simplefilter("ignore", RuntimeWarning)
             for _ in range(40_000):
                 a, b = rng.choice(pool, 3), rng.choice(pool, 3)
-                assert bits(lines.cross(a, b)) == bits(np.cross(a, b)), (a, b)
+                assert bits(lines.cross3(a.tolist(), b.tolist())) == bits(np.cross(a, b)), (a, b)
             for x in SPECIALS:
                 for i in range(3):
                     a, b = np.full(3, 0.5), np.full(3, -1.5)
                     a[i] = x
-                    assert bits(lines.cross(a, b)) == bits(np.cross(a, b))
-                    assert bits(lines.cross(b, a)) == bits(np.cross(b, a))
+                    assert bits(lines.cross3(a.tolist(), b.tolist())) == bits(np.cross(a, b))
+                    assert bits(lines.cross3(b.tolist(), a.tolist())) == bits(np.cross(b, a))
 
     def test_shape_and_dtype(self):
-        out = lines.cross(np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]))
-        assert out.shape == (3,) and out.dtype == np.float64
-        assert out.tolist() == [0.0, 0.0, 1.0]
+        out = lines.cross3([1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
+        assert out == [0.0, 0.0, 1.0] and all(type(x) is float for x in out)
 
 
 # the messages of a triple too close to the boundary for double precision
@@ -283,8 +282,7 @@ class TestFramesAtTextbookFeet:
             for (a, b, f_new), (_, _, f_old) in zip(c_new.pairs(), c_old.pairs()):
                 assert bits(f_new.rotation) == bits(f_old.rotation)
                 assert bits([f_new.lam]) == bits([f_old.lam])
-                (foot,), _ = lines.common_perpendicular_feet([a.point], [a.direction],
-                                                             [b.point], [b.direction])
+                (foot,) = lines.line_pairs([a.point], [a.direction], [b.point], [b.direction]).qa
                 assert bits(f_new.translation) == bits(foot)
                 scale = max(1.0, float(np.linalg.norm(f_old.translation)))
                 moved = float(np.max(np.abs(f_new.translation - f_old.translation)))
@@ -305,9 +303,9 @@ class TestFramesAtTextbookFeet:
 
 
 def with_np_cross(monkeypatch):
-    """Make every module that binds lines.cross call np.cross instead."""
-    for module in (lines, asymptotics, surfaces):
-        monkeypatch.setattr(module, "cross", np.cross)
+    """Make every module that binds lines.cross3 call np.cross instead."""
+    for module in (lines, constellation, asymptotics):
+        monkeypatch.setattr(module, "cross3", np.cross)
 
 
 class TestCliBytes:
@@ -352,16 +350,6 @@ class TestCliBytes:
         assert new == outputs("old")
         assert new[0] == 0
 
-    def test_curvature_estimate(self, monkeypatch):
-        sampler = lambda x, y: surfaces.catenoid_cousin_point(0.75, x, y)
-        points = [(0.3, 0.1), (-1.2, 2.0), (0.0, 0.0)]
-        new = [surfaces.mean_curvature_estimate(sampler, surfaces.Model.UPPER_HALF_SPACE, x, y)
-               for x, y in points]
-        with_np_cross(monkeypatch)
-        old = [surfaces.mean_curvature_estimate(sampler, surfaces.Model.UPPER_HALF_SPACE, x, y)
-               for x, y in points]
-        assert bits([e.value for e in new]) == bits([e.value for e in old])
-
 
 class _NumpyCross(ast.NodeVisitor):
     """Records the function enclosing each use of numpy's cross."""
@@ -388,7 +376,7 @@ class _NumpyCross(ast.NodeVisitor):
 
 
 def test_np_cross_only_in_surface_grid():
-    """Single 3-vectors go through lines.cross; only the batched grid normals
+    """Single 3-vectors go through lines.cross3; only the batched grid normals
     of surfaces.surface_grid keep np.cross."""
     found = []
     for path in sorted(SRC.glob("*.py")):

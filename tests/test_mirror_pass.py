@@ -297,9 +297,11 @@ class TestRowKernels:
 
     def test_feet_raise_on_a_parallel_row(self):
         u = [1.0, 0.0, 0.0]
-        with pytest.raises(ValueError, match="parallel"):
-            lines.common_perpendicular_feet([[0.0, 0.0, 0.0]] * 2, [u, [0.0, 1.0, 0.0]],
-                                            [[0.0, 1.0, 0.0]] * 2, [u, u])
+        pairs = lines.line_pairs([[0.0, 0.0, 0.0]] * 2, [u, [0.0, 1.0, 0.0]],
+                                 [[0.0, 1.0, 0.0]] * 2, [u, u])
+        assert pairs.parallel == [True, False]
+        assert all(map(math.isnan, pairs.qa[0] + pairs.qb[0]))
+        assert pairs.qa[1] == pairs.qb[1] == [0.0, 1.0, 0.0]
 
     def test_lines_and_frames_refuse_as_before(self):
         for point, direction in [([0.0, 0.0, 0.0], [0.0, 0.0, 0.0]), ([math.inf, 0, 0], [1, 0, 0]),

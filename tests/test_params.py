@@ -59,9 +59,9 @@ class TestPhiLambda:
             for call in (convert, wrapper):
                 with pytest.raises(ValueError, match=f"^{name} must lie in .*got inf$"):
                     call(math.inf)
-        # above phi of about 4e8 lambda rounds to -1/4, above about 1e154 it is
-        # NaN: the message names phi, not the lambda it would have given
-        for huge in (4e8, 1e10, 1e200, 1.7e308):
+        # above phi of about 4e8 lambda rounds to -1/4, above about 7e153 it is
+        # -0.0 or NaN: the message names phi, not the lambda it would have given
+        for huge in (4e8, 1e10, 8e153, 1e154, 1e200, 1.7e308):
             with pytest.raises(ValueError, match=f"^phi = {re.escape(repr(huge))} is too large"):
                 lambda_of_phi(huge)
         # mu and lambda_bps name themselves, not the angle they give
@@ -79,8 +79,9 @@ class TestPhiLambda:
 
     def test_tiny_phi(self):
         # 4*phi^2 underflows to 0 below about 1e-162; that used to be a
-        # ZeroDivisionError
-        for tiny in (1e-200, 3e-240, 5e-324):
+        # ZeroDivisionError.  Above that, up to about 1e-154, a subnormal
+        # 4*phi^2 overflows lambda to inf, which raises the same error
+        for tiny in (1e-155, 1e-160, 1e-200, 3e-240, 5e-324):
             with pytest.raises(ValueError, match="too small"):
                 lambda_of_phi(tiny)
         # just above, lambda is huge but finite, and the bits are unchanged

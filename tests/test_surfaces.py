@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from oracles import CurvatureEstimate, mean_curvature_estimate
 from trinoids import weierstrass as W
 from trinoids.surfaces import (
     BallPoint,
-    CurvatureEstimate,
     Model,
     UpperHalfSpacePoint,
     ball_to_halfspace,
@@ -16,7 +16,6 @@ from trinoids.surfaces import (
     gauss_normal_from_g,
     halfspace_to_ball,
     helicoid_point,
-    mean_curvature_estimate,
     surface_grid,
 )
 
