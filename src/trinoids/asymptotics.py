@@ -27,7 +27,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .constellation import HelicoidFrame
-from .lines import OrientedLine, cross3, dot_rows, line_pairs, ruling_residual, scaled
+from .lines import LinePairs, OrientedLine, cross3, dot_rows, line_pairs, ruling_residual, scaled
 from .params import PitchConvention, ray_distance_h, reduced_angle
 from .weierstrass import (
     PowerEndData,
@@ -49,11 +49,11 @@ CONTAINMENT_FLOOR = 1e-8
 GAP_TOL = 1e-6
 
 
-def _targets(radii, thetas, pos_s=(), neg_s=()) -> np.ndarray:
+def _targets(radii, thetas, s=()) -> np.ndarray:
     """The points of an end in sample order: rho e^{i theta} on each arc,
     then +s and -s (a real rho times a complex rounds each part once)."""
     arcs = np.asarray(radii, dtype=float)[:, None] * np.exp(1j * thetas)
-    return np.concatenate([arcs.ravel(), pos_s, -np.asarray(neg_s)])
+    return np.concatenate([arcs.ravel(), s, -np.asarray(s)])
 
 
 @dataclass(frozen=True)
@@ -66,9 +66,8 @@ class EndSample:
     radii: Tuple[float, ...]
     arc_angles: np.ndarray        # angles used on every arc
     arc_points: Tuple[np.ndarray, ...]   # one (m, 3) array per radius
-    boundary_pos_s: np.ndarray    # parameters s of samples at z = +s
+    boundary_s: np.ndarray        # parameters s of the samples at z = +s and -s
     boundary_pos: np.ndarray      # (k, 3)
-    boundary_neg_s: np.ndarray    # parameters s of samples at z = -s
     boundary_neg: np.ndarray      # (k, 3)
     tol: float
 
@@ -100,7 +99,7 @@ def sample_conjugate_end(
     conj = conjugate_data(data)
     thetas = np.linspace(0.0, math.pi, samples_per_arc)
     s_vals = np.geomspace(1.0, radii[-1], boundary_samples)
-    points = integrate(conj, 1.0, _targets(radii, thetas, s_vals, s_vals), tol)
+    points = integrate(conj, 1.0, _targets(radii, thetas, s_vals), tol)
     m, n = samples_per_arc, len(radii) * samples_per_arc
     arcs = [points[k : k + m] for k in range(0, n, m)]
     pos = points[n : n + boundary_samples]
@@ -112,9 +111,8 @@ def sample_conjugate_end(
         radii=radii,
         arc_angles=thetas,
         arc_points=tuple(arcs),
-        boundary_pos_s=s_vals,
+        boundary_s=s_vals,
         boundary_pos=pos,
-        boundary_neg_s=s_vals,
         boundary_neg=neg,
         tol=tol,
     )
@@ -141,8 +139,7 @@ def check_slab(sample: EndSample) -> SlabReport:
     rays are from being horizontal (their third-coordinate spread).
     """
     coef = principal_log_coefficient(sample.data)
-    log_r, theta = branch_log(_targets(
-        sample.radii, sample.arc_angles, sample.boundary_pos_s, sample.boundary_neg_s))
+    log_r, theta = branch_log(_targets(sample.radii, sample.arc_angles, sample.boundary_s))
     third = np.concatenate([*sample.arc_points, sample.boundary_pos, sample.boundary_neg])[:, 2]
     # the principal part Re(coef log z), the product taken on parts
     residuals = third - (coef.real * log_r - coef.imag * theta)
@@ -171,7 +168,11 @@ class RayFit:
     deviation_pos: float
     deviation_neg: float
     vertical_gap: float
-    angle: float
+    pairs: LinePairs  # line_pairs of the two rays, one row
+
+    @property
+    def angle(self) -> float:
+        return self.pairs.angle[0]
 
     @property
     def max_deviation(self) -> float:
@@ -220,8 +221,8 @@ def fit_rays(sample: EndSample) -> RayFit:
         deviation_pos=dev_pos,
         deviation_neg=dev_neg,
         vertical_gap=gap,
-        angle=line_pairs(*([v.tolist()] for v in (ray_pos.point, ray_pos.direction,
-                                                  ray_neg.point, ray_neg.direction))).angle[0],
+        pairs=line_pairs(*([v.tolist()] for v in (ray_pos.point, ray_pos.direction,
+                                                  ray_neg.point, ray_neg.direction))),
     )
 
 
@@ -253,8 +254,7 @@ def fit_helicoid(rays: RayFit, lam: float) -> HelicoidFit:
     pos, neg = rays.ray_pos, rays.ray_neg
     p1, u1, p2, u2 = (v.tolist() for v in (pos.point, pos.direction, neg.point, neg.direction))
     pitch = 2.0 * lam
-    pairs = line_pairs([p1], [u1], [p2], [u2])
-    norm = math.sqrt(pairs.nn[0])
+    norm = math.sqrt(rays.pairs.nn[0])
     if norm < 1e-8:
         min_gap = abs(pitch) * math.pi
         gap = rays.vertical_gap
@@ -269,10 +269,10 @@ def fit_helicoid(rays: RayFit, lam: float) -> HelicoidFit:
             ),
         )
 
-    q1, q2 = pairs.qa[0], pairs.qb[0]
-    n_hat = scaled(pairs.n[0], norm)
+    q1, q2 = rays.pairs.qa[0], rays.pairs.qb[0]
+    n_hat = scaled(rays.pairs.n[0], norm)
     (d,) = dot_rows([[b - a for a, b in zip(q1, q2)]], [n_hat])
-    angle = pairs.angle[0]
+    angle = rays.angle
     # consistency: the twist implied by the gap must match the measured angle
     delta_y = -d / pitch
     mismatch = min(
@@ -304,15 +304,18 @@ def _wrap_to_pi(x: float) -> float:
     return (x + math.pi) % (2.0 * math.pi) - math.pi
 
 
-def helicoid_distances(frame: HelicoidFrame, pitch: float, points: np.ndarray):
+def helicoid_distances(frame: HelicoidFrame, points: np.ndarray):
     """Distance of each point to the placed helicoid surface.
 
     Per point, the squared distance to the ruling at model height y is
     minimized over y by Newton iterations seeded from the point's own
-    height (y0 = -Z/pitch) after a coarse scan of one screw period.  All
-    points run at once; a point stops at its first converged step.
+    height (y0 = -Z/pitch, with pitch = 2 frame.lam) after a coarse scan of
+    one screw period.  All points run at once; a point stops at its first
+    converged step.
     Returns (distances, converged flags).
     """
+    pitch = 2.0 * frame.lam
+
     def dist2(X, Y, Z, y):
         # squared distance to the ruling at height -pitch*y; the
         # perpendicular in-plane component is X cos y + Y sin y
@@ -377,8 +380,7 @@ def decay_profile(sample: EndSample, fit: HelicoidFit) -> DecayProfile:
     """
     if fit.frame is None:
         raise ValueError("decay profile needs a successful helicoid fit")
-    pitch = 2.0 * fit.frame.lam
-    dists, flags = helicoid_distances(fit.frame, pitch, np.concatenate(sample.arc_points))
+    dists, flags = helicoid_distances(fit.frame, np.concatenate(sample.arc_points))
     ends = np.cumsum([len(arc) for arc in sample.arc_points])[:-1]
     sups = []
     for d, ok in zip(np.split(dists, ends), np.split(flags, ends)):

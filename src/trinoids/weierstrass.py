@@ -22,10 +22,12 @@ that branch: z^p integrates to z^{p+1}/(p+1), z^{-1} to the branch
 logarithm, and the exponential data to hyperbolic functions.  So an
 integral depends only on its endpoints, and those must lie in the domain.
 
-F, g and the normals are evaluated over arrays of points, bit for bit as
-cmath takes them one point at a time: complex products are written on real
-parts, and exp, expm1, cosh, sinh, log, atan2 and pow are the math
-module's, called per point, because numpy's versions differ in the last bit.
+F, g and the normals are evaluated over arrays of points.  Complex
+products are written on real parts, and log, atan2 and expm1 are the math
+module's, called per point, because numpy's versions differ in the last
+bit.  exp, cosh and sinh are numpy's complex ufuncs, which call libm's
+cexp, ccosh and csinh: on glibc they give cmath's bits for real parts up to
+log(DBL_MAX/4), about 708.4, where cmath starts to rescale by e.
 """
 
 from __future__ import annotations
@@ -46,8 +48,6 @@ _I_POWERS = (1 + 0j, 1j, -1 + 0j, -1j)
 # tends to log z instead of growing like 1/(p+1) as p + 1 -> 0
 _EXPM1_BELOW = 0.5
 _EPS = sys.float_info.epsilon
-# above this real part cmath's exp, cosh and sinh rescale by e (CM_LOG_LARGE_DOUBLE)
-_LOG_LARGE = math.log(sys.float_info.max / 4.0)
 
 
 class QuadratureError(RuntimeError):
@@ -60,32 +60,15 @@ class QuadratureError(RuntimeError):
 
 
 def _libm(f, *args: np.ndarray) -> np.ndarray:
-    """The math function f at each point of args; inf where it overflows."""
-    def at(*x: float) -> float:
-        try:
-            return f(*x)
-        except OverflowError:
-            return math.inf
+    """math's f at each point of args.  No call overflows: atan2 and log
+    never do, and expm1 takes Re(q log z) with |q| < 1/2, |log|z|| <= 745."""
     flat = [np.ravel(a).tolist() for a in args]
-    return np.array(list(map(at, *flat)), dtype=float).reshape(np.shape(args[0]))
+    return np.array(list(map(f, *flat)), dtype=float).reshape(np.shape(args[0]))
 
 
 def _mul(ar, ai, br, bi):
     """(ar + i ai)(br + i bi) on parts: numpy's complex arrays may fuse."""
     return ar * br - ai * bi, ar * bi + ai * br
-
-
-def _rescaled(f, x: np.ndarray, big: np.ndarray):
-    """f(x) as cmath's exp, cosh and sinh take it: f(x - sign x) and a
-    factor e where big; cmath raises OverflowError where a result part is
-    infinite."""
-    return _libm(f, np.where(big, x - np.copysign(1.0, x), x)), np.where(big, math.e, 1.0)
-
-
-def _exp(wr: np.ndarray, wi: np.ndarray):
-    """cmath.exp(wr + i wi) on parts."""
-    scale, e = _rescaled(math.exp, wr, wr > _LOG_LARGE)
-    return scale * np.cos(wi) * e, scale * np.sin(wi) * e
 
 
 def branch_log(z) -> Tuple[np.ndarray, np.ndarray]:
@@ -98,6 +81,13 @@ def branch_log(z) -> Tuple[np.ndarray, np.ndarray]:
     # + 0.0: CPython's log|z| + 1j * arg z drops the sign of a zero argument
     theta = np.where(theta < -math.pi / 2, theta + 2.0 * math.pi, theta) + 0.0
     return _libm(math.log, np.hypot(z.real, z.imag)), theta
+
+
+def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """re + i im, the parts assigned exactly."""
+    z = np.empty(np.shape(re), dtype=complex)
+    z.real, z.imag = re, im
+    return z
 
 
 def _check_omega_factor(c: complex) -> complex:
@@ -125,8 +115,8 @@ class PowerEndData:
     """g = z^alpha (g0 + z g1(z)), omega = omega_factor z^{-1-alpha} (w0 + z w1(z)) dz.
 
     g1 and w1 are polynomial coefficient tuples in ascending powers of z.
-    Construction enforces 0 < alpha < inf, alpha != 1 and the compatibility
-    g0 * w0 = (1 - alpha^2)/(4 alpha) to 1e-12 relative accuracy.
+    Construction enforces 0 < alpha < inf, alpha != 1, a finite lam and the
+    compatibility g0 * w0 = (1 - alpha^2)/(4 alpha) to 1e-12 relative accuracy.
     """
 
     alpha: float
@@ -148,6 +138,8 @@ class PowerEndData:
             square = self.alpha**2
         except OverflowError:
             raise ValueError(f"alpha = {self.alpha} is too large: alpha^2 overflows") from None
+        if 4.0 * square == 0.0 or not math.isfinite(self.lam):
+            raise ValueError(f"alpha = {self.alpha} is too small: lambda overflows")
         target = (1.0 - square) / (4.0 * self.alpha)
         if abs(self.g0 * self.w0 - target) > 1e-12 * max(abs(target), 1e-300):
             raise ValueError(
@@ -245,41 +237,37 @@ def _antiderivative(data: WeierstrassData, z: np.ndarray):
     """(Re F, sizes, overflows) at the points z, a 1-D complex array: F
     (3, n) are the antiderivatives of the three components, sizes (3, n)
     per component the summed magnitudes of its terms, and overflows (n,)
-    the points where the one-point cmath form raises OverflowError."""
-    zr, zi = z.real, z.imag
+    the points where F overflows."""
     with np.errstate(over="ignore", invalid="ignore"):
         if isinstance(data, ExponentialData):
-            # cmath.cosh and cmath.sinh on parts
-            big = np.abs(zr) > _LOG_LARGE
-            (ch, e), (sh, _) = _rescaled(math.cosh, zr, big), _rescaled(math.sinh, zr, big)
-            cos, sin = np.cos(zi), np.sin(zi)
-            cosh, sinh = (cos * ch * e, sin * sh * e), (cos * sh * e, sin * ch * e)
+            cosh, sinh = np.cosh(z), np.sinh(z)
             c = 2.0 * data.omega_factor * data.lam
             ic = 1j * c
-            values = np.array([_mul(-c.real, -c.imag, *cosh), _mul(ic.real, ic.imag, *sinh),
-                               _mul(c.real, c.imag, zr, zi)])
+            values = np.array([_mul(-c.real, -c.imag, cosh.real, cosh.imag),
+                               _mul(ic.real, ic.imag, sinh.real, sinh.imag),
+                               _mul(c.real, c.imag, z.real, z.imag)])
             sizes = np.hypot(values[:, 0], values[:, 1])
-            # abs() of a complex raises where finite parts have an infinite size
-            overflows = np.isinf([*cosh, *sinh]).any(axis=0) | (
+            # F overflows where a part of cosh or sinh is infinite, and where
+            # finite parts have an infinite size (cmath's abs() raises there)
+            overflows = np.isinf([cosh.real, cosh.imag, sinh.real, sinh.imag]).any(axis=0) | (
                 np.isinf(sizes) & np.isfinite(values).all(axis=1)).any(axis=0)
             return values[:, 0], sizes, overflows
         log_coefs, powers = _power_terms(data)
         log_r, theta = branch_log(z)
+        log_z = _complex(log_r, theta)
         values = np.array([_mul(lc.real, lc.imag, log_r, theta) for lc in log_coefs])
         re, sizes = values[:, 0], np.hypot(values[:, 0], values[:, 1])
         overflows = np.zeros(len(z), dtype=bool)
         for q, terms in powers:
-            # q * log z as CPython multiplies a float by a complex
-            wr, wi = q * log_r - 0.0 * theta, q * theta + 0.0 * log_r
+            w = q * log_z  # exact zero cross terms: CPython's float times complex
+            e = np.exp(w)
             if abs(q) < _EXPM1_BELOW:  # exp(w) - 1 without cancellation near w = 0
-                half_sin = np.sin(0.5 * wi)
-                er = _libm(math.expm1, wr) * np.cos(wi) - 2.0 * half_sin * half_sin
-                ei = _libm(math.exp, wr) * np.sin(wi)
-            else:
-                er, ei = _exp(wr, wi)
-            overflows |= np.isinf(er) | np.isinf(ei)
+                half_sin = np.sin(0.5 * w.imag)
+                e = _complex(_libm(math.expm1, w.real) * np.cos(w.imag)
+                             - 2.0 * half_sin * half_sin, e.imag)
+            overflows |= np.isinf(e.real) | np.isinf(e.imag)
             for i, coef in terms:
-                tr, ti = _mul(coef.real, coef.imag, er, ei)
+                tr, ti = _mul(coef.real, coef.imag, e.real, e.imag)
                 re[i] += tr
                 sizes[i] += np.hypot(tr, ti)
     return re, sizes, overflows
@@ -360,12 +348,7 @@ def correction_bound(data: PowerEndData) -> float:
 
 
 def _int_power(zr: np.ndarray, zi: np.ndarray, k: int):
-    """z**k on parts as CPython takes it: by squaring for k <= 100, through
-    pow and atan2 above."""
-    if k > 100:
-        size = _libm(lambda r: math.pow(r, k), np.hypot(zr, zi))
-        phase = _libm(math.atan2, zi, zr) * k
-        return size * np.cos(phase), size * np.sin(phase)
+    """z**k on parts by repeated squaring."""
     r, p = (1.0, 0.0), (zr, zi)
     while k:
         if k & 1:
@@ -381,20 +364,16 @@ def g_value(data: WeierstrassData, z) -> np.ndarray:
     z = np.asarray(z, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
         if isinstance(data, ExponentialData):
-            gr, gi = _exp(z.real, z.imag)
-        else:
-            pr, pi = data.g0.real, data.g0.imag
-            for k, c in enumerate(data.g1, start=1):
-                tr, ti = _mul(c.real, c.imag, *_int_power(z.real, z.imag, k))
-                pr, pi = pr + tr, pi + ti
-            nonzero = z != 0
-            log_r, theta = branch_log(np.where(nonzero, z, 1.0))
-            a = data.alpha  # z^alpha = exp(alpha log z), alpha * log z as CPython takes it
-            gr, gi = _mul(*_exp(a * log_r - 0.0 * theta, a * theta + 0.0 * log_r), pr, pi)
-            gr, gi = np.where(nonzero, gr, 0.0), np.where(nonzero, gi, 0.0)
-    g = np.empty(z.shape, dtype=complex)
-    g.real, g.imag = gr, gi
-    return g[()]
+            return np.exp(z)[()]
+        pr, pi = data.g0.real, data.g0.imag
+        for k, c in enumerate(data.g1, start=1):
+            tr, ti = _mul(c.real, c.imag, *_int_power(z.real, z.imag, k))
+            pr, pi = pr + tr, pi + ti
+        nonzero = z != 0
+        # z^alpha = exp(alpha log z), alpha * log z as CPython takes it
+        e = np.exp(data.alpha * _complex(*branch_log(np.where(nonzero, z, 1.0))))
+        gr, gi = _mul(e.real, e.imag, pr, pi)
+    return _complex(np.where(nonzero, gr, 0.0), np.where(nonzero, gi, 0.0))[()]
 
 
 def gauss_normal(data: WeierstrassData, z) -> np.ndarray:

@@ -187,9 +187,9 @@ def check_slab(sample):
         for th, pt in zip(sample.arc_angles, arc):
             z = rho * np.exp(1j * th)
             residuals.append(pt[2] - _principal_third(coef, z))
-    for s, pt in zip(sample.boundary_pos_s, sample.boundary_pos):
+    for s, pt in zip(sample.boundary_s, sample.boundary_pos):
         residuals.append(pt[2] - _principal_third(coef, complex(s)))
-    for s, pt in zip(sample.boundary_neg_s, sample.boundary_neg):
+    for s, pt in zip(sample.boundary_s, sample.boundary_neg):
         residuals.append(pt[2] - _principal_third(coef, complex(-s, 0.0)))
     residuals = np.array(residuals)
     bound_2c = 2.0 * correction_bound(sample.data)
@@ -839,9 +839,8 @@ def sample_conjugate_end(data, radii, samples_per_arc=33, boundary_samples=16,
         radii=radii,
         arc_angles=thetas,
         arc_points=tuple(arcs),
-        boundary_pos_s=s_vals,
+        boundary_s=s_vals,
         boundary_pos=pos,
-        boundary_neg_s=s_vals,
         boundary_neg=neg,
         tol=tol,
     )
@@ -1244,7 +1243,8 @@ def seq_ruling_residual(rotation, translation, pitch: float, line) -> float:
     res_axis = abs(float(p @ n)) / np.linalg.norm(n)
     t_star = -(p[0] * d[0] + p[1] * d[1]) / (dh * dh)
     z_star = p[2] + t_star * d[2]
-    y_star = -z_star / pitch
+    with np.errstate(over="ignore"):  # inf for pitches near 1e-320, kept without a warning
+        y_star = -z_star / pitch
     res_twist = abs(d[0] * math.cos(y_star) + d[1] * math.sin(y_star)) / dh
     return max(res_horizontal, res_axis, res_twist)
 

@@ -54,7 +54,7 @@ class TestSampling:
         fit = fit_helicoid(rays, sample.lam)
         assert fit.passed and fit.residual < 1e-8
         for arc in sample.arc_points:
-            d, flags = helicoid_distances(fit.frame, 2 * sample.lam, arc)
+            d, flags = helicoid_distances(fit.frame, arc)
             assert np.all(flags)
             assert d.max() < 1e-8
 
@@ -172,7 +172,7 @@ class TestDistanceProjection:
         frame = HelicoidFrame(lam, np.eye(3), np.zeros(3))
         pts = np.array([helicoid_point(lam, x, y)
                         for x in (-1.0, 0.3, 2.0) for y in (-2.0, 0.0, 4.0)])
-        d, flags = helicoid_distances(frame, 2 * lam, pts)
+        d, flags = helicoid_distances(frame, pts)
         assert np.all(flags)
         assert d.max() < 1e-12
 
@@ -182,7 +182,7 @@ class TestDistanceProjection:
         # a surface point nudged vertically off a ruling (away from the axis,
         # which itself lies on the surface): small positive distance
         q = helicoid_point(lam, 1.2, 0.3) + np.array([0.0, 0.0, 1e-3])
-        d, _ = helicoid_distances(frame, 2 * lam, q[None, :])
+        d, _ = helicoid_distances(frame, q[None, :])
         assert 0 < d[0] <= 1e-3 + 1e-12
 
 
@@ -239,7 +239,7 @@ class TestDistancesSameAsScalar:
                     near_axis = frame.translation + rng.normal(size=(20, 3)) * 1e-9
                     far = rng.normal(size=(20, 3)) * 50.0
                     for pts in (np.concatenate(sample.arc_points), near_axis, far):
-                        got = helicoid_distances(frame, 2 * lam, pts)
+                        got = helicoid_distances(frame, pts)
                         want = oracles.helicoid_distances(frame, 2 * lam, pts)
                         assert np.array_equal(_bits(got[0]), _bits(want[0]))
                         assert np.array_equal(got[1], want[1])
@@ -249,8 +249,8 @@ class TestDistancesSameAsScalar:
 
     def test_empty_and_single(self):
         frame = HelicoidFrame(0.5, np.eye(3), np.zeros(3))
-        d, flags = helicoid_distances(frame, 1.0, np.zeros((0, 3)))
+        d, flags = helicoid_distances(frame, np.zeros((0, 3)))
         assert d.shape == flags.shape == (0,)
-        d, flags = helicoid_distances(frame, 1.0, [0.3, -0.2, 0.7])
+        d, flags = helicoid_distances(frame, [0.3, -0.2, 0.7])
         want = oracles.helicoid_distances(frame, 1.0, [0.3, -0.2, 0.7])
         assert np.array_equal(_bits(d), _bits(want[0])) and np.array_equal(flags, want[1])

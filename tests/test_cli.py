@@ -504,6 +504,21 @@ class TestVerifyEnd:
         assert proc.stdout == ""
         assert proc.stderr == "error: alpha must be positive, finite and != 1, got inf\n"
 
+    @pytest.mark.parametrize("alpha,w0,tol", [
+        ("1e-300", "2.4999999999999998e+299", None), ("1e-300", "2.4999999999999998e+299", "1e300"),
+        ("1e-160", "2.5e159", None), ("1e-160", "2.5e159", "1e300"),
+    ])
+    def test_tiny_alpha(self, tmp_path, alpha, w0, tol):
+        # lambda = (1 - alpha^2)/(4 alpha^2) overflows: the one error line
+        # names alpha, not the --tol of the default run, a ZeroDivisionError
+        # or the phi of the gap report
+        path = tmp_path / "end.json"
+        path.write_text(f'{{"kind":"power_end","alpha":{alpha},"g0_re":1,"w0_re":{w0}}}')
+        proc = run_program("verify-end", str(path), *(["--tol", tol] if tol else []))
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == f"error: alpha = {alpha} is too small: lambda overflows\n"
+
     def test_samples_near_overflow_warn_nothing(self, tmp_path):
         # radii down to 2^-409 put the samples near 1e306, whose squares
         # overflow in the ray fit and the helicoid distances: a negative

@@ -16,6 +16,7 @@ import cmath
 import json
 import math
 import pathlib
+import sys
 from dataclasses import fields
 
 import numpy as np
@@ -56,7 +57,7 @@ def assert_close_sample(got, want):
     assert got.data == want.data
     assert bits([got.alpha, got.lam, got.tol, *got.radii]) == bits(
         [want.alpha, want.lam, want.tol, *want.radii])
-    for name in ("arc_angles", "boundary_pos_s", "boundary_neg_s"):
+    for name in ("arc_angles", "boundary_s"):
         assert bits(getattr(got, name)) == bits(getattr(want, name)), name
     for name in ("boundary_pos", "boundary_neg"):
         assert_within(getattr(got, name), getattr(want, name), want.tol)
@@ -462,26 +463,46 @@ class TestClosedForm:
             integrate(W.catenoid_data(1.0), 0.0, [1000.0 + 0j])
 
     def test_cmath_rescaling_window(self):
-        # above log(DBL_MAX / 4) cmath's exp, cosh and sinh rescale by e, and
-        # numpy's complex versions differ there in the last bit; a huge tol
-        # lets those values through, and they keep the frozen engine's bits
-        rng = np.random.default_rng(13)
-        for alpha in (2.5, 3.0):
-            pe = perturbed(alpha, 7)
-            mags = np.exp(-rng.uniform(708.5, 709.7, 40) / alpha)
-            targets = list(mags * np.exp(1j * rng.uniform(0.0, PI, 40)))
-            paths = [IntegrationPath(1.0, z) for z in targets]
-            assert bits(integrate(pe, 1.0, targets, 1e300)) == bits(
-                oracles.integrate_paths(pe, paths, 1e300))
-        data = W.ExponentialData(0.3, 1j)
-        xs = rng.uniform(700.0, 710.4, 40) * rng.choice([-1.0, 1.0], 40)
-        targets = [complex(x, y) for x, y in zip(xs, rng.uniform(-9.0, 9.0, 40))]
-        paths = [IntegrationPath(0.0, z) for z in targets]
-        assert bits(integrate(data, 0.0, targets, 1e300)) == bits(
-            oracles.integrate_paths(data, paths, 1e300))
-        for z in (708.5 + 0.25j, 709.7 - 3j, -709.0 + 1j):
-            got, want = W.g_value(data, z), oracles.g_value(data, z)
+        def window_sets(low, high, exp_high):
+            # PowerEnd targets whose largest exponent lies in [low, high), and
+            # exponential targets whose |Re z| lies in [low, exp_high)
+            for alpha in (2.5, 3.0):
+                mags = np.exp(-rng.uniform(low, high, 40) / alpha)
+                targets = mags * np.exp(1j * rng.uniform(0.0, PI, 40))
+                yield perturbed(alpha, 7), 1.0, list(targets)
+            xs = rng.uniform(low, exp_high, 40) * rng.choice([-1.0, 1.0], 40)
+            yield exp_data, 0.0, [
+                complex(x, y) for x, y in zip(xs, rng.uniform(-9.0, 9.0, 40))]
+
+        # a huge tol lets values near overflow through.  Below log(DBL_MAX / 4)
+        # numpy's complex exp, cosh and sinh are cmath's, bit for bit
+        rng, exp_data = np.random.default_rng(13), W.ExponentialData(0.3, 1j)
+        log_large = math.log(sys.float_info.max / 4.0)
+        for data, z0, targets in window_sets(707.0, log_large, log_large):
+            paths = [IntegrationPath(z0, z) for z in targets]
+            assert bits(integrate(data, z0, targets, 1e300)) == bits(
+                oracles.integrate_paths(data, paths, 1e300))
+        for z in (707.5 + 0.25j, 708.3 - 3j, -708.0 + 1j):
+            got, want = W.g_value(exp_data, z), oracles.g_value(exp_data, z)
             assert bits([got.real, got.imag]) == bits([want.real, want.imag])
+        # above it cmath rescales by e and libm's complex functions scale
+        # their own way, so the two differ in the last bits: within three
+        # times the engine's rounding budget eps * sum |terms| (at most 2.46
+        # times was measured on 30,000 seeded targets of both kinds).  The
+        # exponential set runs on to 710.4, where exp overflows but cosh and
+        # sinh, and so the values, stay finite
+        for data, z0, targets in window_sets(708.5, 709.7, 710.4):
+            got = integrate(data, z0, targets, 1e300)
+            want = oracles.integrate_paths(data, [IntegrationPath(z0, z) for z in targets], 1e300)
+            antiderivative = oracles._antiderivative(data)
+            base = antiderivative(complex(z0))[1]
+            for g, w, z in zip(got, want, targets):
+                sizes = antiderivative(complex(z))[1]
+                budget = sys.float_info.epsilon * max(a + b for a, b in zip(base, sizes))
+                assert np.abs(g - w).max() <= 3.0 * budget
+        for z in (708.5 + 0.25j, 709.7 - 3j, -709.0 + 1j):
+            got, want = W.g_value(exp_data, z), oracles.g_value(exp_data, z)
+            assert abs(got - want) <= 3.0 * sys.float_info.epsilon * abs(want)
 
     def test_overflow_where_cmath_raises(self):
         # -2 cosh z has finite parts there, but its size overflows: the
