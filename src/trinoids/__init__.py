@@ -1,21 +1,20 @@
 """Classification and verification tools for catenoid-cousin end data.
 
-Subpackages by task:
+Modules by task:
 
 * params        -- parameter conventions and conversions
 * classify      -- tetrahedron admissibility of angle triples
-* surfaces      -- closed-form surface evaluators and model maps
+* surfaces      -- closed-form surface evaluators and the half-space-to-ball map
 * weierstrass   -- numerical evaluation of immersions from (g, omega)
+* lines         -- oriented lines and their row kernels
 * constellation -- the two line constellations of an admissible triple
 * asymptotics   -- conjugate-end sampling, helicoid fitting, decay checks
-* cli           -- command-line front end and file emitters
+* emit          -- deterministic OBJ, CSV and JSON writers
+* config        -- run configuration of the command line
+* cli           -- command-line front end
 """
 
 from .params import (
-    Angle,
-    BpsParameter,
-    BryantParameter,
-    CatenoidParameter,
     PitchConvention,
     bobenko_delta,
     bps_to_lambda,
@@ -26,15 +25,11 @@ from .params import (
     reduced_angle,
     total_curvature,
 )
-from .classify import Membership, TripleClass, TripleTag, classify_triple, tetrahedron_contains
+from .classify import Membership, TripleClass, TripleTag, classify_triple
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Angle",
-    "BpsParameter",
-    "BryantParameter",
-    "CatenoidParameter",
     "Membership",
     "PitchConvention",
     "TripleClass",
@@ -47,7 +42,6 @@ __all__ = [
     "phi_of_lambda",
     "ray_distance_h",
     "reduced_angle",
-    "tetrahedron_contains",
     "total_curvature",
     "__version__",
 ]

@@ -7,7 +7,8 @@ are the generically admissible triples; boundary points correspond to
 parallel line constellations; any angle that is an integer multiple of pi
 is degenerate.  The same region can be cut out by four inequalities on the
 fractional parts Delta_i = r_i/(2*pi), which is also provided.  Both forms
-share one slack formula, one membership rule and one range check.
+share one slack formula and one membership rule; the membership tests take
+arrays of triples, one row each, and do not range-check them.
 """
 
 from __future__ import annotations
@@ -79,38 +80,6 @@ def _membership_code(slacks, eps):
     outside = (s1 < -eps) | (s2 < -eps) | (s3 < -eps) | (s4 < -eps)
     boundary = outside | (s1 <= eps) | (s2 <= eps) | (s3 <= eps) | (s4 <= eps)
     return Membership.INTERIOR.value - boundary - outside
-
-
-def _checked_triple(values, hi: float, hi_name: str, what: str) -> tuple:
-    """The three entries of ``values`` as floats, each in [0, hi]; NaN is rejected."""
-    x = np.asarray(values, dtype=float)
-    if x.shape != (3,):
-        raise ValueError(f"expected three {what}")
-    triple = tuple(x.tolist())
-    if not all(0.0 <= v <= hi for v in triple):
-        raise ValueError(f"{what} must lie in [0, {hi_name}], got {x}")
-    return triple
-
-
-def tetrahedron_contains(r_triple, eps_face: float = 0.0) -> Membership:
-    """Half-space membership test for a reduced triple in [0, pi]^3.
-
-    ``eps_face`` widens the boundary: |slack| <= eps_face counts as
-    BOUNDARY; a slack below -eps_face is OUTSIDE.
-    """
-    r = _checked_triple(r_triple, PI, "pi", "reduced angles")
-    return Membership(_membership_code(inequality_slacks(*r, PI), eps_face))
-
-
-def bobenko_admissible(deltas, eps: float = 0.0) -> Membership:
-    """Membership by the four fractional-part inequalities.
-
-    Interior iff d1+d2+d3 > 1/2 and each of d1+d2-d3, d1-d2+d3, -d1+d2+d3
-    is < 1/2, all strictly.  Agrees with tetrahedron_contains under
-    d_i = r_i/(2*pi) when called with eps = eps_face/(2*pi).
-    """
-    d = _checked_triple(deltas, 0.5, "1/2", "fractional parts")
-    return Membership(_membership_code(inequality_slacks(*d, 0.5), eps))
 
 
 def classify_triple(phi1: float, phi2: float, phi3: float, eps_face: float = 0.0) -> TripleClass:

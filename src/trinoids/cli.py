@@ -119,10 +119,9 @@ def cmd_surface(args) -> int:
         value = getattr(args, flag)
         if value is not None and not math.isfinite(value):
             raise ValueError(f"--{flag} must be finite, got {value}")
-    a = math.sqrt(1.0 + 4.0 * lam) if lam > -0.25 else 1.0
     if args.kind == "cousin":
         ymin = 0.0 if args.ymin is None else args.ymin
-        ymax = 2.0 * math.pi / a if args.ymax is None else args.ymax
+        ymax = surfaces.cousin_period(lam) if args.ymax is None else args.ymax
     else:
         ymin = -math.pi if args.ymin is None else args.ymin
         ymax = math.pi if args.ymax is None else args.ymax

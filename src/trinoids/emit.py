@@ -189,7 +189,8 @@ def write_text(path: Optional[str], text: str, force: bool = False) -> None:
     is created exclusively, so an existing file is never touched.  With
     ``force`` the text goes to a fresh file next to ``path`` that then
     replaces it in one step.  Either way the new file gets the mode a plain
-    ``open`` gives.
+    ``open`` gives.  An error that names a file names ``path``, never the
+    temporary file, so its message does not change from run to run.
     """
     if path is None:
         return
@@ -198,11 +199,22 @@ def write_text(path: Optional[str], text: str, force: bool = False) -> None:
         fh = open(dest, "x")
     except FileExistsError:
         raise FileExistsError(f"{path} exists; pass --force to overwrite") from None
+    except OSError as exc:
+        raise _naming(exc, path) from None
     try:
         with fh:
             fh.write(text)
         if force:
             os.replace(dest, path)
-    except BaseException:
+    except BaseException as exc:
         os.unlink(dest)
+        if isinstance(exc, OSError):
+            raise _naming(exc, path) from None
         raise
+
+
+def _naming(exc: OSError, path: str) -> OSError:
+    """``exc`` with ``path`` as its one file name, if it names any file."""
+    if exc.filename is None:
+        return exc
+    return type(exc)(exc.errno, exc.strerror, path)

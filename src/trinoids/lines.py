@@ -124,9 +124,6 @@ class OrientedLine:
     def reversed(self) -> "OrientedLine":
         return OrientedLine(self.point, -self.direction)
 
-    def transformed(self, rotation: np.ndarray, translation: np.ndarray) -> "OrientedLine":
-        return OrientedLine(rotation @ self.point + translation, rotation @ self.direction)
-
 
 class LinePairs(NamedTuple):
     """Geometry of pairs of lines a_k, b_k, row by row (see line_pairs)."""

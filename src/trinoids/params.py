@@ -11,7 +11,6 @@ angle r(phi) and the ray-distance function h(phi).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 TWO_PI = 2.0 * math.pi
@@ -47,68 +46,9 @@ _check_mu = _domain_check("mu", -0.5, 0.0, "(-1/2, inf) \\ {0}")
 _check_bps = _domain_check("lambda_bps", 0.0, 0.5, "(0, inf) \\ {1/2}")
 
 
-@dataclass(frozen=True)
-class CatenoidParameter:
-    """End parameter lambda in I = (-1/4, inf) \\ {0}."""
-
-    lam: float
-
-    def __post_init__(self) -> None:
-        _check_lambda(self.lam)
-
-    @property
-    def a(self) -> float:
-        return math.sqrt(1.0 + 4.0 * self.lam)
-
-    @property
-    def phi(self) -> float:
-        return math.pi / self.a
-
-
-@dataclass(frozen=True)
-class Angle:
-    """End angle phi in J = (0, inf) \\ {pi}."""
-
-    phi: float
-
-    def __post_init__(self) -> None:
-        _check_phi(self.phi)
-
-    @property
-    def reduced(self) -> float:
-        return reduced_angle(self.phi)
-
-
-@dataclass(frozen=True)
-class BryantParameter:
-    """Bryant's catenoid-cousin parameter mu, with mu > -1/2 and mu != 0."""
-
-    mu: float
-
-    def __post_init__(self) -> None:
-        _check_mu(self.mu)
-
-
-@dataclass(frozen=True)
-class BpsParameter:
-    """Bobenko's catenoid-cousin parameter, positive and != 1/2."""
-
-    lambda_bps: float
-
-    def __post_init__(self) -> None:
-        _check_bps(self.lambda_bps)
-
-
-def _unwrap(value, wrapper) -> float:
-    if isinstance(value, wrapper):
-        field = list(wrapper.__dataclass_fields__)[0]
-        return getattr(value, field)
-    return float(value)
-
-
 def phi_of_lambda(lam) -> float:
     """End angle phi = pi / sqrt(1 + 4*lambda); strictly decreasing on I."""
-    lam = _unwrap(lam, CatenoidParameter)
+    lam = float(lam)
     _check_lambda(lam)
     return math.pi / math.sqrt(1.0 + 4.0 * lam)
 
@@ -123,7 +63,7 @@ def lambda_of_phi(phi) -> float:
     result rounds to -1/4, and above about 7e153 it is -0.0 or NaN; all
     three raise, as does an infinite result below phi of about 1e-154.
     """
-    phi = _unwrap(phi, Angle)
+    phi = float(phi)
     _check_phi(phi)
     return _lambda_of_angle(phi, "phi", phi)
 
@@ -160,7 +100,7 @@ def ray_distance_h(phi, convention: PitchConvention = PitchConvention.HALF_GAP) 
     HALF_GAP gives |lambda(phi)|*phi = |pi^2/(4 phi) - phi/4|; RULING_GAP
     doubles it.  See PitchConvention for what the factor means.
     """
-    phi = _unwrap(phi, Angle)
+    phi = float(phi)
     _check_phi(phi)
     h = abs(lambda_of_phi(phi)) * phi
     if convention is PitchConvention.RULING_GAP:
@@ -174,14 +114,14 @@ def pitch_coefficient(lam, convention: PitchConvention = PitchConvention.HALF_GA
     RULING_GAP returns 2*lambda, the drop of the standard helicoid; HALF_GAP
     returns lambda.  ray_distance_h(phi, conv) == |pitch_coefficient| * phi.
     """
-    lam = _unwrap(lam, CatenoidParameter)
+    lam = float(lam)
     _check_lambda(lam)
     return 2.0 * lam if convention is PitchConvention.RULING_GAP else lam
 
 
 def bryant_mu_to_lambda(mu) -> float:
     """lambda for Bryant's parameter mu: inverse end angle of pi*(2*mu + 1)."""
-    mu = _unwrap(mu, BryantParameter)
+    mu = float(mu)
     _check_mu(mu)
     return _lambda_of_angle(math.pi * (2.0 * mu + 1.0), "mu", mu)
 
@@ -191,7 +131,7 @@ def lambda_to_bryant_mu(lam) -> float:
 
     Above lambda of about 8e31, mu rounds to -1/2, outside its domain.
     """
-    lam = _unwrap(lam, CatenoidParameter)
+    lam = float(lam)
     mu = phi_of_lambda(lam) / TWO_PI - 0.5
     if not mu > -0.5:
         raise ValueError(f"lambda = {lam} is too large: Bryant's mu rounds to -1/2")
@@ -200,7 +140,7 @@ def lambda_to_bryant_mu(lam) -> float:
 
 def bps_to_lambda(bps) -> float:
     """lambda for Bobenko's parameter: inverse end angle of 2*pi*lambda_bps."""
-    bps = _unwrap(bps, BpsParameter)
+    bps = float(bps)
     _check_bps(bps)
     return _lambda_of_angle(TWO_PI * bps, "lambda_bps", bps)
 
@@ -212,7 +152,7 @@ def lambda_to_bps(lam) -> float:
 
 def total_curvature(lam) -> float:
     """Total curvature -4*pi/sqrt(1 + 4*lambda) of the catenoid with parameter lambda."""
-    lam = _unwrap(lam, CatenoidParameter)
+    lam = float(lam)
     _check_lambda(lam)
     return -4.0 * math.pi / math.sqrt(1.0 + 4.0 * lam)
 

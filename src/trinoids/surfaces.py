@@ -10,7 +10,7 @@ Three one-parameter families, all indexed by lambda in I = (-1/4, inf) \\ {0}:
 * catenoid_cousin_point -- mean-curvature-1 surface in the upper half-space
                           model of hyperbolic 3-space
 
-plus a fixed isometry between the upper half-space and Poincare ball models.
+plus a fixed isometry from the upper half-space model to the Poincare ball model.
 """
 
 from __future__ import annotations
@@ -31,44 +31,6 @@ class Model(Enum):
     EUCLIDEAN = "euclidean"
     UPPER_HALF_SPACE = "upper-half-space"
     BALL = "ball"
-
-
-@dataclass(frozen=True)
-class UpperHalfSpacePoint:
-    """Point (u + iv, w) of the upper half-space model, w > 0."""
-
-    u: float
-    v: float
-    w: float
-
-    def __post_init__(self) -> None:
-        if not self.w > 0.0:
-            raise ValueError(f"upper half-space requires w > 0, got w={self.w}")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.u, self.v, self.w])
-
-    def to_ball(self) -> "BallPoint":
-        return BallPoint(*halfspace_to_ball(self.as_array()))
-
-
-@dataclass(frozen=True)
-class BallPoint:
-    """Point of the Poincare ball model, Euclidean norm < 1."""
-
-    x1: float
-    x2: float
-    x3: float
-
-    def __post_init__(self) -> None:
-        if not self.x1**2 + self.x2**2 + self.x3**2 < 1.0:
-            raise ValueError("ball model requires |x| < 1")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x1, self.x2, self.x3])
-
-    def to_halfspace(self) -> UpperHalfSpacePoint:
-        return UpperHalfSpacePoint(*ball_to_halfspace(self.as_array()))
 
 
 def helicoid_point(lam: float, x, y) -> np.ndarray:
@@ -175,17 +137,6 @@ def halfspace_to_ball(p) -> np.ndarray:
         raise ValueError("half-space point needs w > 0")
     d = u * u + v * v + (w + 1.0) ** 2
     return np.stack([2.0 * u / d, -(u * u + v * v + w * w - 1.0) / d, 2.0 * v / d], axis=-1)
-
-
-def ball_to_halfspace(p) -> np.ndarray:
-    """Inverse of halfspace_to_ball.  Raises on |p| >= 1."""
-    p = np.asarray(p, dtype=float)
-    n2 = np.sum(p * p, axis=-1)
-    if np.any(n2 >= 1.0):
-        raise ValueError("ball point needs |p| < 1")
-    y1, y2, y3 = p[..., 0], p[..., 2], -p[..., 1]
-    e = y1 * y1 + y2 * y2 + (y3 - 1.0) ** 2
-    return np.stack([2.0 * y1 / e, 2.0 * y2 / e, (1.0 - n2) / e], axis=-1)
 
 
 def gauss_normal_from_g(g) -> np.ndarray:

@@ -20,6 +20,8 @@ These deliberately avoid the code paths they check:
 * the classification oracles write out each slack formula and membership
   rule separately, and test membership by barycentric coordinates too;
 * the mean-curvature estimator differences the closed-form surfaces;
+* the ball-to-half-space map inverts the program's half-space-to-ball map
+  with its own formula;
 * the helicoid distance oracle loops over points one at a time;
 * the constellation oracles take every cross product with np.cross and
   check frames in exact rational arithmetic;
@@ -374,6 +376,17 @@ def mean_curvature_estimate(
     raise ValueError(f"mean curvature estimator not implemented for model {model}")
 
 
+def ball_to_halfspace(p) -> np.ndarray:
+    """Inverse of surfaces.halfspace_to_ball, by its own formula.  Raises on |p| >= 1."""
+    p = np.asarray(p, dtype=float)
+    n2 = np.sum(p * p, axis=-1)
+    if np.any(n2 >= 1.0):
+        raise ValueError("ball point needs |p| < 1")
+    y1, y2, y3 = p[..., 0], p[..., 2], -p[..., 1]
+    e = y1 * y1 + y2 * y2 + (y3 - 1.0) ** 2
+    return np.stack([2.0 * y1 / e, 2.0 * y2 / e, (1.0 - n2) / e], axis=-1)
+
+
 
 # --- emitters ----------------------------------------------------------------
 # The original one-float-at-a-time emitters; trinoids.emit formats whole
@@ -521,23 +534,6 @@ def barycentric_membership(r_triple, eps_face: float = 0.0) -> Membership:
         raise ValueError(f"reduced angles must lie in [0, pi], got {r}")
     bary = barycentric_coordinates(r) * (2.0 * _PI)
     return _membership_from_slacks(bary, eps_face)
-
-
-def bobenko_admissible(deltas, eps: float = 0.0) -> Membership:
-    d = np.asarray(deltas, dtype=float)
-    if d.shape != (3,):
-        raise ValueError("expected three fractional parts")
-    if np.any(d < 0.0) or np.any(d > 0.5):
-        raise ValueError(f"fractional parts must lie in [0, 1/2], got {d}")
-    slacks = np.array(
-        [
-            d[0] + d[1] + d[2] - 0.5,
-            0.5 - (d[0] + d[1] - d[2]),
-            0.5 - (d[0] - d[1] + d[2]),
-            0.5 - (-d[0] + d[1] + d[2]),
-        ]
-    )
-    return _membership_from_slacks(slacks, eps)
 
 
 def classify_triple(phi1: float, phi2: float, phi3: float, eps_face: float = 0.0):

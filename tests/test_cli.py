@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import oracles
-from trinoids import cli
+from trinoids import cli, surfaces
 from trinoids import weierstrass as W
 from trinoids.emit import dump_json, validate_against_schema
 
@@ -215,13 +215,19 @@ class TestSurface:
         assert code == 0
 
     def test_cousin_csv_w_positive(self, capsys, tmp_path):
-        csv = tmp_path / "c.csv"
-        code, _, _ = run(capsys, "surface", "cousin", "0.75", "--csv", str(csv))
-        assert code == 0
-        rows = csv.read_text().splitlines()
-        assert rows[0] == "x,y,px,py,pz,nx,ny,nz"
-        w = np.array([float(r.split(",")[4]) for r in rows[1:]])
-        assert np.all(w > 0)
+        # by default y runs over one period of the cousin, in either model
+        for lam in ("0.75", "-0.2", "10", "-0.2499999"):
+            for model in ("halfspace", "ball"):
+                csv = tmp_path / f"c_{lam}_{model}.csv"
+                code, _, _ = run(capsys, "surface", "cousin", lam, "--model", model,
+                                 "--csv", str(csv))
+                assert code == 0
+                rows = csv.read_text().splitlines()
+                assert rows[0] == "x,y,px,py,pz,nx,ny,nz"
+                assert rows[-1].split(",")[1] == "%.17g" % surfaces.cousin_period(float(lam))
+                if model == "halfspace":
+                    w = np.array([float(r.split(",")[4]) for r in rows[1:]])
+                    assert np.all(w > 0)
 
     def test_ball_model(self, capsys, tmp_path):
         csv = tmp_path / "b.csv"
@@ -297,13 +303,23 @@ class TestSurface:
     def test_unwritable_path(self, capsys, tmp_path):
         target = tmp_path / "a_directory"
         target.mkdir()
-        code, out, err = run(capsys, "surface", "helicoid", "1", "--nx", "3", "--ny", "3",
-                             "--obj", str(target), "--force")
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error: ") and err.count("\n") == 1
+        missing = tmp_path / "no_such_directory" / "x.obj"
+        for path in (target, missing):
+            errors = []
+            for _ in range(2):
+                code, out, err = run(capsys, "surface", "helicoid", "1", "--nx", "3", "--ny", "3",
+                                     "--obj", str(path), "--force")
+                assert code == 2
+                assert out == ""
+                assert err.startswith("error: ") and err.count("\n") == 1
+                errors.append(err)
+            # the message names the requested path, not a temporary file
+            assert errors[0] == errors[1]
+            assert repr(str(path)) in err
+            assert ".tmp" not in err
         assert target.is_dir()
-        assert list(tmp_path.glob("*.tmp")) == []
+        assert not missing.parent.exists()
+        assert list(tmp_path.rglob("*.tmp")) == []
 
     @pytest.mark.parametrize("nx,ny", [(0, 21), (1, 21), (21, 1), (-3, 2)])
     def test_grid_too_small(self, capsys, tmp_path, nx, ny):

@@ -7,7 +7,7 @@ import pytest
 import oracles
 from test_cross_kernel import REPLACED_FRAMES
 from trinoids import cli, constellation
-from trinoids.classify import Membership, tetrahedron_contains
+from trinoids.classify import Membership, tetrahedron_membership_batch
 from trinoids.constellation import (
     Constellation,
     ConstellationReport,
@@ -37,7 +37,8 @@ GENERIC_TRIPLES = [
 
 
 def transformed(lines, rotation, translation):
-    return [l.transformed(rotation, translation) for l in lines]
+    return [OrientedLine(rotation @ l.point + translation, rotation @ l.direction)
+            for l in lines]
 
 
 class TestSolve:
@@ -228,7 +229,8 @@ class TestExistenceGrid:
             for r1 in grid:
                 for r2 in grid:
                     for r3 in grid:
-                        member = tetrahedron_contains((r1, r2, r3), eps_face=1e-12)
+                        member = Membership(
+                            tetrahedron_membership_batch([(r1, r2, r3)], eps_face=1e-12)[0])
                         sols = solve_constellations(r1, r2, r3)
                         if member is Membership.INTERIOR:
                             assert len(sols) == 2

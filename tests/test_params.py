@@ -7,10 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trinoids.params import (
-    Angle,
-    BpsParameter,
-    BryantParameter,
-    CatenoidParameter,
     PitchConvention,
     bobenko_delta,
     bps_to_lambda,
@@ -53,12 +49,11 @@ class TestPhiLambda:
             with pytest.raises(ValueError):
                 lambda_of_phi(bad)
         # each parameter's own check rejects inf, and names that parameter
-        for convert, wrapper, name in [(lambda_of_phi, Angle, "phi"),
-                                       (bryant_mu_to_lambda, BryantParameter, "mu"),
-                                       (bps_to_lambda, BpsParameter, "lambda_bps")]:
-            for call in (convert, wrapper):
-                with pytest.raises(ValueError, match=f"^{name} must lie in .*got inf$"):
-                    call(math.inf)
+        for convert, name in [(lambda_of_phi, "phi"),
+                              (bryant_mu_to_lambda, "mu"),
+                              (bps_to_lambda, "lambda_bps")]:
+            with pytest.raises(ValueError, match=f"^{name} must lie in .*got inf$"):
+                convert(math.inf)
         # above phi of about 4e8 lambda rounds to -1/4, above about 7e153 it is
         # -0.0 or NaN: the message names phi, not the lambda it would have given
         for huge in (4e8, 1e10, 8e153, 1e154, 1e200, 1.7e308):
@@ -97,21 +92,6 @@ class TestPhiLambda:
         lams = np.sort(lambda_grid())
         phis = [phi_of_lambda(l) for l in lams]
         assert all(a > b for a, b in zip(phis, phis[1:]))
-
-    def test_wrapper_types(self):
-        p = CatenoidParameter(0.75)
-        assert p.a == pytest.approx(2.0)
-        assert p.phi == pytest.approx(PI / 2)
-        assert phi_of_lambda(p) == pytest.approx(PI / 2)
-        assert Angle(PI / 2).reduced == pytest.approx(PI / 2)
-        with pytest.raises(ValueError):
-            CatenoidParameter(0.0)
-        with pytest.raises(ValueError):
-            Angle(PI)
-        with pytest.raises(ValueError):
-            BryantParameter(0.0)
-        with pytest.raises(ValueError):
-            BpsParameter(0.5)
 
 
 class TestReducedAngle:

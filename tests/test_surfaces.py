@@ -3,13 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from oracles import CurvatureEstimate, mean_curvature_estimate
+from oracles import CurvatureEstimate, ball_to_halfspace, mean_curvature_estimate
 from trinoids import weierstrass as W
 from trinoids.surfaces import (
-    BallPoint,
     Model,
-    UpperHalfSpacePoint,
-    ball_to_halfspace,
     catenoid_cousin_point,
     catenoid_point,
     cousin_period,
@@ -153,14 +150,6 @@ class TestModelMaps:
             halfspace_to_ball([0.0, 0.0, 0.0])
         with pytest.raises(ValueError):
             ball_to_halfspace([1.0, 0.0, 0.0])
-        with pytest.raises(ValueError):
-            UpperHalfSpacePoint(0.0, 0.0, 0.0)
-        with pytest.raises(ValueError):
-            BallPoint(0.8, 0.6, 0.0)
-
-    def test_point_wrappers(self):
-        p = UpperHalfSpacePoint(0.3, -0.2, 1.4)
-        assert np.allclose(p.to_ball().to_halfspace().as_array(), p.as_array(), atol=1e-14)
 
 
 class TestGaussNormal:
