@@ -319,10 +319,22 @@ def helicoid_distances(frame: HelicoidFrame, points: np.ndarray):
     def dist2(X, Y, Z, y):
         # squared distance to the ruling at height -pitch*y; the
         # perpendicular in-plane component is X cos y + Y sin y
-        # (cancellation-free form of X^2 + Y^2 - (X sin y - Y cos y)^2)
-        up = X * np.cos(y) + Y * np.sin(y)
-        t = Z + pitch * y
-        return up * up + t * t
+        # (cancellation-free form of X^2 + Y^2 - (X sin y - Y cos y)^2),
+        # computed in place on the two buffers np.cos and np.sin return,
+        # which have the full broadcast shape.  The plain expression
+        # allocates a new array per step and holds more of them at once:
+        # for the (n, 49) scan of a few hundred points, under glibc's
+        # default malloc thresholds, that grows the heap top and trims it
+        # again on every call, about 120 page faults per verified end.
+        up, t = np.cos(y), np.sin(y)
+        np.multiply(X, up, out=up)
+        np.multiply(Y, t, out=t)
+        np.add(up, t, out=up)
+        np.multiply(pitch, y, out=t)
+        np.add(Z, t, out=t)
+        np.multiply(up, up, out=up)
+        np.multiply(t, t, out=t)
+        return np.add(up, t, out=up)
 
     # points near the largest float overflow their squares, and a flat
     # Hessian divides by zero: the flags and distances tell, not warnings

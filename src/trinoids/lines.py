@@ -121,9 +121,6 @@ class OrientedLine:
         t = np.asarray(t, dtype=float)
         return self.point + t[..., None] * self.direction if t.ndim else self.point + t * self.direction
 
-    def reversed(self) -> "OrientedLine":
-        return OrientedLine(self.point, -self.direction)
-
 
 class LinePairs(NamedTuple):
     """Geometry of pairs of lines a_k, b_k, row by row (see line_pairs)."""

@@ -22,7 +22,8 @@ These deliberately avoid the code paths they check:
 * the mean-curvature estimator differences the closed-form surfaces;
 * the ball-to-half-space map inverts the program's half-space-to-ball map
   with its own formula;
-* the helicoid distance oracle loops over points one at a time;
+* the helicoid distance oracle loops over points one at a time, and the
+  frozen array version allocates every step of its scan anew;
 * the constellation oracles take every cross product with np.cross and
   check frames in exact rational arithmetic;
 * the sequential constellation solver builds and checks one solution after
@@ -915,6 +916,45 @@ def helicoid_distances(frame, pitch: float, points):
         dists[i] = math.sqrt(max(d2, 0.0))
         flags[i] = ok
     return dists, flags
+
+
+def array_helicoid_distances(frame, points):
+    """The array helicoid_distances as it was before its scan was computed in
+    place: every step of dist2 on the (n, 49) scan allocates a new array."""
+    pitch = 2.0 * frame.lam
+
+    def dist2(X, Y, Z, y):
+        up = X * np.cos(y) + Y * np.sin(y)
+        t = Z + pitch * y
+        return up * up + t * t
+
+    with np.errstate(all="ignore"):
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        X, Y, Z = ((pts - frame.translation) @ frame.rotation).T
+        ys = (-Z / pitch)[:, None] + np.linspace(-math.pi, math.pi, 49)
+        scan = dist2(X[:, None], Y[:, None], Z[:, None], ys)
+        y = ys[np.arange(len(ys)), np.argmin(scan, axis=1)]
+        flags = np.zeros(len(y), dtype=bool)
+        active = np.arange(len(y))
+        for _ in range(40):
+            Xa, Ya, ya = X[active], Y[active], y[active]
+            u = Xa * np.sin(ya) - Ya * np.cos(ya)
+            du = Xa * np.cos(ya) + Ya * np.sin(ya)
+            grad = -2.0 * u * du + 2.0 * pitch * (Z[active] + pitch * ya)
+            hess = -2.0 * (du * du - u * u) + 2.0 * pitch * pitch
+            scale = np.abs(hess)
+            done = np.abs(grad) < 1e-14 * np.where(scale > 1.0, scale, 1.0)
+            flags[active[done]] = True
+            moving = ~done
+            active, grad, hess = active[moving], grad[moving], hess[moving]
+            if not len(active):
+                break
+            step = np.where(hess > 1e-300, grad / hess, np.copysign(0.1, grad))
+            step = np.where(step > 0.5, 0.5, step)
+            step = np.where(step < -0.5, -0.5, step)
+            y[active] = ya[moving] - step
+        d2 = dist2(X, Y, Z, y)
+    return np.sqrt(np.where(d2 < 0.0, 0.0, d2)), flags
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import oracles
+from test_end_engine import END_SETS, perturbed
+from trinoids import asymptotics
 from trinoids import weierstrass as W
 from trinoids.asymptotics import (
     check_slab,
@@ -254,3 +257,69 @@ class TestDistancesSameAsScalar:
         d, flags = helicoid_distances(frame, [0.3, -0.2, 0.7])
         want = oracles.helicoid_distances(frame, 1.0, [0.3, -0.2, 0.7])
         assert np.array_equal(_bits(d), _bits(want[0])) and np.array_equal(flags, want[1])
+
+
+class TestDistancesSameAsFrozen:
+    """helicoid_distances computes its scan in place; the frozen array
+    version (oracles.array_helicoid_distances), which allocates every step
+    anew, must give the same distance bits and flags, in less memory."""
+
+    @staticmethod
+    def assert_same(frame, pts):
+        got = helicoid_distances(frame, pts)
+        want = oracles.array_helicoid_distances(frame, pts)
+        assert np.array_equal(_bits(got[0]), _bits(want[0]))
+        assert np.array_equal(got[1], want[1])
+        return want
+
+    def test_random_frames(self):
+        rng = np.random.default_rng(2201)
+        special = np.array([[np.nan, 0.0, 1.0], [np.inf, 1.0, -1.0], [-np.inf, 2.0, 0.5],
+                            [0.0, 0.0, np.inf], [1e200, 1e200, -1e200], [0.3, -1e200, 0.0]])
+        nonconverged = 0
+        for n in (1, 31, 264, 700):
+            for lam in (-0.2, -0.01, 0.3, 1.7):
+                rotation = np.linalg.qr(rng.normal(size=(3, 3)))[0]
+                frame = HelicoidFrame(lam, rotation, rng.normal(size=3))
+                pts = rng.normal(size=(n, 3)) * rng.choice([1e-9, 1.0, 50.0], size=(n, 1))
+                self.assert_same(frame, pts)
+                rows = rng.choice(n, size=min(n, len(special)), replace=False)
+                pts[rows] = special[:len(rows)]
+                nonconverged += int(np.sum(~self.assert_same(frame, pts)[1]))
+        assert nonconverged >= 16
+
+    @pytest.mark.parametrize("alpha,seed,radii,arc,boundary,tol", END_SETS)
+    def test_end_sets(self, alpha, seed, radii, arc, boundary, tol):
+        pe = W.power_end_data(alpha) if seed is None else perturbed(alpha, seed)
+        sample = sample_conjugate_end(pe, radii, arc, boundary, tol)
+        frames = [HelicoidFrame(sample.lam, np.eye(3), np.zeros(3))]
+        if boundary >= 8:  # fit_rays needs 8 boundary samples per side
+            rays = fit_rays(sample)
+            fits = [fit_helicoid(rays, lam) for lam in (sample.lam, 0.7 * sample.lam)]
+            frames += [fit.frame for fit in fits if fit.frame is not None]
+        for frame in frames:
+            self.assert_same(frame, np.concatenate(sample.arc_points))
+
+    def test_less_memory(self, monkeypatch):
+        # the call one default verify_end makes, traced after a warm-up call
+        calls = []
+        monkeypatch.setattr(asymptotics, "helicoid_distances",
+                            lambda *args: calls.append(args) or helicoid_distances(*args))
+        verify_end(W.power_end_data(0.5))
+        (args,) = calls
+        assert len(args[1]) == 264
+
+        def peak(fn):
+            fn(*args)
+            tracemalloc.start()
+            try:
+                fn(*args)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # in units of one (264, 49) scan array, the frozen scan peaks at
+        # about 6.1 and the in-place one at about 3.7 (ys, two buffers and
+        # numpy's 64 KiB ufunc buffer); 2/3 of 6.1 is 4.1, so a fourth
+        # scan-sized array alive at once fails this
+        assert peak(helicoid_distances) < 2 / 3 * peak(oracles.array_helicoid_distances)

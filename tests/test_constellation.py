@@ -41,6 +41,10 @@ def transformed(lines, rotation, translation):
             for l in lines]
 
 
+def reversed_line(line):
+    return OrientedLine(line.point, -line.direction)
+
+
 class TestSolve:
     def test_right_triple_orthogonal_directions(self):
         sols = solve_constellations(*RIGHT)
@@ -152,7 +156,7 @@ class TestVerify:
         phis = (2.2, 1.9, 7 * PI / 3)
         sol = solve_constellations(*phis)[0]
         flipped = Constellation(
-            sol.l12.reversed(), sol.l23, sol.l31, sol.f1, sol.f2, sol.f3, sol.convention
+            reversed_line(sol.l12), sol.l23, sol.l31, sol.f1, sol.f2, sol.f3, sol.convention
         )
         rep = verify_constellation(flipped, phis)
         # pairs 1 and 2 involve l12: angle flips from pi - r to r

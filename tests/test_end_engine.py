@@ -403,8 +403,8 @@ def csv_doc(text):
 class TestNoQuadratureInSource:
     """Path integrals are closed forms: no module of the program calls
     scipy's quad, imports anything else from scipy.integrate, or defines a
-    segment integrator.  (weierstrass still imports quad by name: the
-    benchmark's tracer wraps that attribute.)"""
+    segment integrator.  (weierstrass still imports quad by name, lazily,
+    when the attribute is first read: the benchmark's tracer wraps it.)"""
 
     def test_ast(self):
         found = []

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 import oracles
+from test_constellation import reversed_line
 from test_cross_kernel import REPLACED_FRAMES, TEXTBOOK_FEET, near_face_triples
 from test_end_engine import END_SETS, perturbed
 from trinoids import asymptotics, constellation, lines
@@ -143,7 +144,7 @@ class TestSameAsSequential:
         for phis in [(1.6, 2.0, 2.2), (2.2, 1.9, 7 * PI / 3), REPLACED_FRAMES[0]]:
             sol = constellation.solve_constellations(*phis)[0]
             moved = constellation.Constellation(
-                sol.l12.reversed(), sol.l23,
+                reversed_line(sol.l12), sol.l23,
                 lines.OrientedLine(sol.l31.point + 1e-3, sol.l31.direction),
                 sol.f1, sol.f2, sol.f3, sol.convention)
             for c in (sol, moved):
