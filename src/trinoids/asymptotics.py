@@ -141,8 +141,7 @@ def check_slab(sample: EndSample) -> SlabReport:
     coef = principal_log_coefficient(sample.data)
     log_r, theta = branch_log(_targets(sample.radii, sample.arc_angles, sample.boundary_s))
     third = np.concatenate([*sample.arc_points, sample.boundary_pos, sample.boundary_neg])[:, 2]
-    # the principal part Re(coef log z), the product taken on parts
-    residuals = third - (coef.real * log_r - coef.imag * theta)
+    residuals = third - (coef * (log_r + 1j * theta)).real
     bound_2c = 2.0 * correction_bound(sample.data)
     width = float(residuals.max() - residuals.min())
     spread = max(
@@ -462,9 +461,8 @@ class NormalLimitReport:
 def normal_limit_report(sample: EndSample) -> NormalLimitReport:
     """Deviation |N - (0,0,-1)| on the outermost and innermost arcs."""
     z = _targets((sample.radii[0], sample.radii[-1]), sample.arc_angles)
-    d = (gauss_normal(sample.data, z) - np.array([0.0, 0.0, -1.0]))[:, None, :]
-    # each row's norm as np.linalg.norm takes one vector: sqrt of its dot product
-    devs = np.sqrt(d @ d.transpose(0, 2, 1)).reshape(2, -1)
+    d = gauss_normal(sample.data, z) - np.array([0.0, 0.0, -1.0])
+    devs = np.linalg.norm(d, axis=-1).reshape(2, -1)
     outer, inner = (float(dev) for dev in devs.max(axis=1))
     return NormalLimitReport(outer, inner, passed=inner < outer and inner < 0.5)
 

@@ -22,12 +22,11 @@ that branch: z^p integrates to z^{p+1}/(p+1), z^{-1} to the branch
 logarithm, and the exponential data to hyperbolic functions.  So an
 integral depends only on its endpoints, and those must lie in the domain.
 
-F, g and the normals are evaluated over arrays of points.  Complex
-products are written on real parts, and log, atan2 and expm1 are the math
-module's, called per point, because numpy's versions differ in the last
-bit.  exp, cosh and sinh are numpy's complex ufuncs, which call libm's
-cexp, ccosh and csinh: on glibc they give cmath's bits for real parts up to
-log(DBL_MAX/4), about 708.4, where cmath starts to rescale by e.
+F, g and the normals are evaluated over arrays of points with numpy's
+complex ufuncs and products.  The engine's contract is accuracy, not bits:
+integrate checks tol against a rounding budget, a first-order bound on the
+error of each coordinate (see integrate), and the tests hold the result to
+that budget against a 160-bit evaluation of the same antiderivative.
 """
 
 from __future__ import annotations
@@ -71,23 +70,13 @@ def __getattr__(name: str):
 
 class QuadratureError(RuntimeError):
     """A path integral cannot meet the requested tolerance: the rounding
-    budget of its closed form, ``achieved``, exceeds it."""
+    budget of its closed form (integrate's first-order bound on its error),
+    ``achieved``, exceeds it, or the closed form overflows and ``achieved``
+    is inf."""
 
     def __init__(self, message: str, achieved: float):
         super().__init__(f"{message} (achieved error estimate {achieved:.3e})")
         self.achieved = achieved
-
-
-def _libm(f, *args: np.ndarray) -> np.ndarray:
-    """math's f at each point of args.  No call overflows: atan2 and log
-    never do, and expm1 takes Re(q log z) with |q| < 1/2, |log|z|| <= 745."""
-    flat = [np.ravel(a).tolist() for a in args]
-    return np.array(list(map(f, *flat)), dtype=float).reshape(np.shape(args[0]))
-
-
-def _mul(ar, ai, br, bi):
-    """(ar + i ai)(br + i bi) on parts: numpy's complex arrays may fuse."""
-    return ar * br - ai * bi, ar * bi + ai * br
 
 
 def branch_log(z) -> Tuple[np.ndarray, np.ndarray]:
@@ -96,17 +85,9 @@ def branch_log(z) -> Tuple[np.ndarray, np.ndarray]:
     z = np.asarray(z, dtype=complex)
     if np.any(z == 0):
         raise ZeroDivisionError("log 0")
-    theta = _libm(math.atan2, z.imag, z.real)
-    # + 0.0: CPython's log|z| + 1j * arg z drops the sign of a zero argument
-    theta = np.where(theta < -math.pi / 2, theta + 2.0 * math.pi, theta) + 0.0
-    return _libm(math.log, np.hypot(z.real, z.imag)), theta
-
-
-def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
-    """re + i im, the parts assigned exactly."""
-    z = np.empty(np.shape(re), dtype=complex)
-    z.real, z.imag = re, im
-    return z
+    theta = np.arctan2(z.imag, z.real)
+    theta = np.where(theta < -math.pi / 2, theta + 2.0 * math.pi, theta)
+    return np.log(np.hypot(z.real, z.imag)), theta
 
 
 def _check_omega_factor(c: complex) -> complex:
@@ -253,43 +234,37 @@ def _power_terms(data: PowerEndData):
 
 
 def _antiderivative(data: WeierstrassData, z: np.ndarray):
-    """(Re F, sizes, overflows) at the points z, a 1-D complex array: F
-    (3, n) are the antiderivatives of the three components, sizes (3, n)
-    per component the summed magnitudes of its terms, and overflows (n,)
-    the points where F overflows."""
+    """(Re F, budgets, overflows) at the points z, a 1-D complex array: F
+    (3, n) are the antiderivatives of the three components, budgets (3, n)
+    per component the rounding budget of its terms (see integrate), and
+    overflows (n,) the points where F overflows."""
     with np.errstate(over="ignore", invalid="ignore"):
         if isinstance(data, ExponentialData):
-            cosh, sinh = np.cosh(z), np.sinh(z)
             c = 2.0 * data.omega_factor * data.lam
-            ic = 1j * c
-            values = np.array([_mul(-c.real, -c.imag, cosh.real, cosh.imag),
-                               _mul(ic.real, ic.imag, sinh.real, sinh.imag),
-                               _mul(c.real, c.imag, z.real, z.imag)])
-            sizes = np.hypot(values[:, 0], values[:, 1])
-            # F overflows where a part of cosh or sinh is infinite, and where
-            # finite parts have an infinite size (cmath's abs() raises there)
-            overflows = np.isinf([cosh.real, cosh.imag, sinh.real, sinh.imag]).any(axis=0) | (
-                np.isinf(sizes) & np.isfinite(values).all(axis=1)).any(axis=0)
-            return values[:, 0], sizes, overflows
+            values = np.array([-c * np.cosh(z), 1j * c * np.sinh(z), c * z])
+            sizes = np.abs(values)
+            # an infinite part, or finite parts whose size overflows
+            return values.real, 2.0 * _EPS * sizes, ~np.isfinite(sizes).all(axis=0)
         log_coefs, powers = _power_terms(data)
         log_r, theta = branch_log(z)
-        log_z = _complex(log_r, theta)
-        values = np.array([_mul(lc.real, lc.imag, log_r, theta) for lc in log_coefs])
-        re, sizes = values[:, 0], np.hypot(values[:, 0], values[:, 1])
+        log_z = log_r + 1j * theta
+        abs_log = np.abs(log_z)
+        values = np.multiply.outer(log_coefs, log_z)
+        re, budgets = values.real, 2.0 * _EPS * np.abs(values)
         overflows = np.zeros(len(z), dtype=bool)
         for q, terms in powers:
-            w = q * log_z  # exact zero cross terms: CPython's float times complex
+            w = q * log_z
             e = np.exp(w)
             if abs(q) < _EXPM1_BELOW:  # exp(w) - 1 without cancellation near w = 0
                 half_sin = np.sin(0.5 * w.imag)
-                e = _complex(_libm(math.expm1, w.real) * np.cos(w.imag)
-                             - 2.0 * half_sin * half_sin, e.imag)
-            overflows |= np.isinf(e.real) | np.isinf(e.imag)
+                e = np.expm1(w.real) * np.cos(w.imag) - 2.0 * half_sin * half_sin + 1j * e.imag
+            overflows |= ~np.isfinite(e)
+            weight = _EPS * (2.0 + abs(q) * abs_log)
             for i, coef in terms:
-                tr, ti = _mul(coef.real, coef.imag, e.real, e.imag)
-                re[i] += tr
-                sizes[i] += np.hypot(tr, ti)
-    return re, sizes, overflows
+                t = coef * e
+                re[i] += t.real
+                budgets[i] += weight * np.abs(t)
+    return re, budgets, overflows
 
 
 def integrate(
@@ -299,8 +274,17 @@ def integrate(
 
     F is the closed-form antiderivative of the three integrands on the
     branch of branch_log, evaluated at z0 and all targets at once.  Each
-    component's rounding budget, eps times the summed magnitudes of its
-    terms at both endpoints, must not exceed tol; otherwise (and when F
+    coordinate carries a rounding budget, a first-order bound on its error
+    in the standard model: every operation and elementary function rounds
+    to a relative eps/2.  A power term t = b exp(w), w = q log z, costs
+    eps |t| (2 + |q| |log z|).  log z and the product q log z each perturb
+    w by eps/2 |w|, which exp turns into a relative error of t; exp, the
+    product with b, the sum over the terms and the difference of the
+    endpoints add eps/2 each.  A log term c log z costs 2 eps |c| |log z|
+    (the log, the product, the sum and the difference), and a term of the
+    exponential data, whose exponent z is exact, 2 eps |t|.  A target's
+    budget, the largest over the three components of the costs of their
+    terms at both endpoints, must not exceed tol.  Otherwise (and when F
     overflows) QuadratureError, for the first failing endpoint, carries the
     budget.  ValueError for a tol outside (0, inf), a non-finite endpoint
     and, for PowerEndData, an endpoint outside the closed upper half-disk.
@@ -317,12 +301,9 @@ def integrate(
         if not np.isfinite(zk):
             raise ValueError(f"endpoint {zk} is not finite")
         raise ValueError(f"PowerEnd endpoint {zk} lies outside the closed upper half-disk")
-    re, sizes, overflows = _antiderivative(data, z)
+    re, budgets, overflows = _antiderivative(data, z)
     with np.errstate(over="ignore", invalid="ignore"):
-        s = sizes[:, :1] + sizes[:, 1:]
-        # eps * max(s[0], s[1], s[2]) as Python's max takes it, NaN included
-        largest = np.where(s[1] > s[0], s[1], s[0])
-        budget = _EPS * np.where(s[2] > largest, s[2], largest)
+        budget = (budgets[:, :1] + budgets[:, 1:]).max(axis=0)
         failed = overflows | np.concatenate(([False], ~(budget <= tol)))
     if failed.any():
         k = int(np.argmax(failed))
@@ -366,17 +347,6 @@ def correction_bound(data: PowerEndData) -> float:
     return float(2.0 * sum(abs(c) / (k + 1.0) for k, c in enumerate(rho)))
 
 
-def _int_power(zr: np.ndarray, zi: np.ndarray, k: int):
-    """z**k on parts by repeated squaring."""
-    r, p = (1.0, 0.0), (zr, zi)
-    while k:
-        if k & 1:
-            r = _mul(*r, *p)
-        k >>= 1
-        p = _mul(*p, *p)
-    return r
-
-
 def g_value(data: WeierstrassData, z) -> np.ndarray:
     """Gauss map g at each z, in the shape of z (branch-aware for
     PowerEndData, where g(0) = 0)."""
@@ -384,15 +354,11 @@ def g_value(data: WeierstrassData, z) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         if isinstance(data, ExponentialData):
             return np.exp(z)[()]
-        pr, pi = data.g0.real, data.g0.imag
-        for k, c in enumerate(data.g1, start=1):
-            tr, ti = _mul(c.real, c.imag, *_int_power(z.real, z.imag, k))
-            pr, pi = pr + tr, pi + ti
+        poly = np.polyval([*data.g1[::-1], data.g0], z)  # g0 + z g1(z), by Horner
         nonzero = z != 0
-        # z^alpha = exp(alpha log z), alpha * log z as CPython takes it
-        e = np.exp(data.alpha * _complex(*branch_log(np.where(nonzero, z, 1.0))))
-        gr, gi = _mul(e.real, e.imag, pr, pi)
-    return _complex(np.where(nonzero, gr, 0.0), np.where(nonzero, gi, 0.0))[()]
+        log_r, theta = branch_log(np.where(nonzero, z, 1.0))
+        g = np.exp(data.alpha * (log_r + 1j * theta)) * poly
+    return np.where(nonzero, g, 0.0)[()]
 
 
 def gauss_normal(data: WeierstrassData, z) -> np.ndarray:
