@@ -51,6 +51,18 @@ def _check_positive(name: str, value: float, allow_zero: bool = False) -> None:
         raise ValueError(f"{name} must lie in {interval}, got {value}")
 
 
+def _round_up(x: float) -> str:
+    """``x`` in ``%.3e`` notation, rounded up rather than to nearest, so
+    that the float it reads as is never below ``x``."""
+    text = f"{x:.3e}"
+    if float(text) < x:
+        mantissa, exponent = text.split("e")
+        # one unit more in the last of the four digits
+        units = int(mantissa.replace(".", "")) + 1
+        text = f"{float(f'{units}e{int(exponent) - 3}'):.3e}"
+    return text
+
+
 def _one_line(exc: BaseException) -> str:
     """The exception message with its line breaks folded into spaces."""
     return " ".join(str(exc).splitlines())
@@ -200,7 +212,7 @@ def cmd_verify_end(args) -> int:
         # the integrals are closed forms: an unmet budget is set by the
         # data, the radii and --tol, never by a fault of the program
         raise ValueError(
-            f"--tol {args.tol!r} is below the rounding budget {exc.achieved:.3e} "
+            f"--tol {args.tol!r} is below the rounding budget {_round_up(exc.achieved)} "
             "of the integrals for these data and radii"
         ) from None
     out = asymptotics.verification_to_json(report)

@@ -1,4 +1,36 @@
-"""Deterministic OBJ, CSV and JSON emitters used by the command line."""
+"""Deterministic OBJ, CSV and JSON emitters used by the command line.
+
+Every float in an OBJ or CSV file is written as ``"%.17g" % x`` would write
+it, byte for byte, but a whole array at a time.  CPython formats 17 digits
+with bignum arithmetic (its dtoa takes a fast path only up to 14), about
+0.4 us per value; ``_float_cells`` gets the same digits from numpy array
+operations, exactly:
+
+* Window: 1e-4 <= |x| < 1e16, where ``%.17g`` writes fixed notation.  There
+  k = floor(log10 |x|) lies in [-4, 15], and 10^(16-k) is an exact double.
+* Dekker's two-product (Numer. Math. 18, 1971) splits y = |x| 10^(16-k)
+  into hi + lo exactly: hi = fl(y), and lo comes from Veltkamp's split of
+  both factors, each partial product exact.  numpy evaluates every ufunc on
+  its own and never contracts one into a fused multiply-add, so no step
+  rounds differently from the error analysis (Higham 2002, ch. 3).
+* Only rows with 1e16 < hi < 1e17 stay.  There the doubles are spaced 2 to
+  16 apart, so hi is an even integer and |lo| <= 8, and hi + rint(lo) is y
+  rounded half to even to an integer: the 17 digits dtoa writes.  The bounds
+  are strict, so an estimate of k off by one (log10 near a power of ten) or
+  a y that rounds to 10^16 or 10^17 never stays, and no carry can reach
+  10^17: below it hi <= 10^17 - 16.
+* Everything else is formatted by ``"%.17g" % x``, one value at a time:
+  +-0, subnormals and other |x| < 1e-4, |x| >= 1e16, nan and +-inf, and the
+  rows dropped by the bounds.  This fallback is part of the contract; the
+  tests compare the kernel with ``%`` on raw bit patterns, on the
+  neighbours of every power of ten and on half-way ties.
+
+Each value becomes a row of FIELD bytes, NUL where the text is shorter;
+``_text`` lays such rows and literal separators side by side, BLOCK rows at
+a time, and drops the NULs, so a file is written from byte tables, never
+from one Python string per value.  Face and line indices take the same
+route through ``_int_cells``.
+"""
 
 from __future__ import annotations
 
@@ -15,41 +47,199 @@ import numpy as np
 from .lines import OrientedLine
 from .surfaces import SurfaceGrid
 
-VERTEX_ROW = "v %.17g %.17g %.17g\n"
+# bytes of the longest %.17g text, "-2.2250738585072014e-308"
+FIELD = 24
+# values formatted, and rows joined, at a time: bounds the working arrays
+BLOCK = 8192
+
+_POW10 = np.array([float(10**j) for j in range(21)])
+_SPLITTER = 2.0**27 + 1.0
 
 
-def _format_rows(row_fmt: str, rows) -> str:
-    """Apply ``row_fmt`` to every row of a 2-D array in one ``%`` operation.
+def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Veltkamp's split a = hi + lo, exact, each half of at most 26 bits."""
+    c = a * _SPLITTER
+    hi = c - (c - a)
+    return hi, a - hi
 
-    ``tolist`` hands ``%`` the same Python floats and ints that formatting
-    one element at a time would, so the text is byte-identical to that.
-    """
-    rows = np.asarray(rows)
-    return (row_fmt * len(rows)) % tuple(rows.reshape(-1).tolist())
+
+_POW10_HI, _POW10_LO = _split(_POW10)
+# "0000" to "9999": the ASCII digits of every 4-digit group
+_QUADS = (np.arange(10**4, dtype=np.int16)[:, None] // np.array([1000, 100, 10, 1], np.int16)
+          % 10 + 48).astype(np.uint8)
+
+
+def _items(cells: np.ndarray) -> np.ndarray:
+    """(n, w) uint8 cells viewed as n items of w bytes each."""
+    return cells.view(np.dtype((np.void, cells.shape[1])))[:, 0]
+
+
+def _float_cells(*arrays) -> list[np.ndarray]:
+    """Per array, array.shape + (FIELD,) uint8: each value's ``"%.17g" %
+    value``, NUL-padded (see the module docstring for why the digits are
+    exact).  All arrays go through one pass of the kernel."""
+    arrays = [np.asarray(a, dtype=np.float64) for a in arrays]
+    x = np.concatenate([a.reshape(-1) for a in arrays])
+    cells = np.zeros((len(x), FIELD), np.uint8)
+    for first in range(0, len(x), BLOCK):
+        _fill_cells(x[first:first + BLOCK], cells[first:first + BLOCK])
+    ends = np.cumsum([a.size for a in arrays]).tolist()
+    return [cells[end - a.size:end].reshape(a.shape + (FIELD,)) for a, end in zip(arrays, ends)]
+
+
+def _fill_cells(x: np.ndarray, cells: np.ndarray) -> None:
+    """Write the ``%.17g`` text of every value of ``x`` into ``cells``."""
+    a = np.abs(x)
+    rows = np.flatnonzero((a >= 1e-4) & (a < 1e16))
+    k = np.clip(np.floor(np.log10(a[rows])), -4, 15).astype(np.int8)
+    # one column layout per k: work on the rows sorted by k (a radix sort)
+    order = np.argsort(k, kind="stable")
+    rows, k = rows[order], k[order]
+    whole, kept = _seventeen_digits(a[rows], k)
+    rows, k = rows[kept], k[kept]
+    digits = _ascii_digits(whole)
+    last = 16 - np.argmax(digits[:, ::-1] != 48, axis=1)
+    # no trailing zero after the point, and no point before none
+    digits *= np.arange(17) <= np.maximum(last, k)[:, None]
+    block = np.zeros((len(k), FIELD), np.uint8)
+    block[:, 0] = np.where(x[rows] < 0, 45, 0)
+    ends = np.cumsum(np.bincount(k + 4, minlength=20)).tolist()
+    for e, start, end in zip(range(-4, 16), [0] + ends, ends):
+        if start == end:
+            continue
+        b, d = block[start:end], digits[start:end]
+        if e >= 0:
+            b[:, 1:e + 2] = d[:, :e + 1]
+            b[:, e + 2] = np.where(last[start:end] > e, 46, 0)
+            b[:, e + 3:19] = d[:, e + 1:]
+        else:
+            b[:, 1:2 - e] = 48
+            b[:, 2] = 46
+            b[:, 2 - e:19 - e] = d
+    # rows of FIELD bytes move as single items
+    _items(cells)[rows] = _items(block)
+    slow = np.ones(len(x), bool)
+    slow[rows] = False
+    slow = np.flatnonzero(slow)
+    if len(slow):
+        text = (f"%-{FIELD}.17g" * len(slow) % tuple(x[slow].tolist())).replace(" ", "\0")
+        cells[slow] = np.frombuffer(text.encode("ascii"), np.uint8).reshape(-1, FIELD)
+
+
+def _ascii_digits(whole: np.ndarray) -> np.ndarray:
+    """(m, 17) uint8: the ASCII digits of integers in [10^16, 10^17)."""
+    lead = whole // 10**16
+    rest = whole - lead * 10**16
+    # the other 16 digits as four groups of four, each looked up in _QUADS;
+    # below 10^8 the halves fit an int32, which numpy divides by a constant fast
+    top = rest // 10**8
+    halves = top.astype(np.int32), (rest - top * 10**8).astype(np.int32)
+    groups = []
+    for half in halves:
+        high = half // 10**4
+        groups += [high, half - high * 10**4]
+    digits = np.empty((len(whole), 17), np.uint8)
+    digits[:, 0] = lead + 48
+    digits[:, 1:] = _items(_QUADS)[np.stack(groups, axis=1)].view(np.uint8)
+    return digits
+
+
+def _seventeen_digits(a: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(whole, kept): a 10^(16-k) rounded half to even to an int64, exactly,
+    on the rows where ``kept`` holds (a 17-digit result)."""
+    scale = 16 - k
+    hi = a * _POW10[scale]
+    a_hi, a_lo = _split(a)
+    p_hi, p_lo = _POW10_HI[scale], _POW10_LO[scale]
+    # Dekker's two-product: every partial product and sum is exact
+    lo = a_hi * p_hi
+    lo -= hi
+    lo += a_hi * p_lo
+    lo += a_lo * p_hi
+    lo += a_lo * p_lo
+    kept = (hi > 1e16) & (hi < 1e17)
+    return hi[kept].astype(np.int64) + np.rint(lo[kept]).astype(np.int64), kept
+
+
+def _int_cells(values) -> np.ndarray:
+    """values.shape + (w,) uint8: the decimal digits of each non-negative
+    integer, NUL before its first digit."""
+    v = np.asarray(values, dtype=np.int64)[..., None]
+    width = len(str(int(v.max()))) if v.size else 1
+    powers = 10 ** np.arange(width - 1, -1, -1, dtype=np.int64)
+    heads = v // powers
+    return np.where((heads == 0) & (powers > 1), 0, heads % 10 + 48).astype(np.uint8)
+
+
+def _join(*parts) -> np.ndarray:
+    """Row i of every part side by side: a part is an (n, w) cell table or
+    a bytes literal repeated on every row."""
+    n = next(len(p) for p in parts if isinstance(p, np.ndarray))
+    widths = [p.shape[1] if isinstance(p, np.ndarray) else len(p) for p in parts]
+    rows = np.empty((n, sum(widths)), np.uint8)
+    end = 0
+    for part, width in zip(parts, widths):
+        start, end = end, end + width
+        rows[:, start:end] = part if isinstance(part, np.ndarray) else np.frombuffer(part, np.uint8)
+    return rows
+
+
+def _text(*parts) -> str:
+    """The rows of ``_join(*parts)`` as text, their NUL padding dropped."""
+    return str(_compact(*parts), "ascii")
+
+
+def _compact(*parts) -> np.ndarray:
+    """The bytes of ``_text(*parts)``.  The rows are joined BLOCK at a time
+    into the one array of the text, so that the padded table and its mask
+    stay small; they are gone before ``_text`` makes its string."""
+    tables = [p for p in parts if isinstance(p, np.ndarray)]
+    n = len(tables[0])
+    size = n * sum(len(p) for p in parts if not isinstance(p, np.ndarray))
+    text = np.empty(size + sum(np.count_nonzero(t) for t in tables), np.uint8)
+    end = 0
+    for first in range(0, n, BLOCK):
+        rows = _join(*(p[first:first + BLOCK] if isinstance(p, np.ndarray) else p
+                       for p in parts))
+        block = rows[rows != 0]
+        start, end = end, end + len(block)
+        text[start:end] = block
+    return text
+
+
+def _vertex_text(tag: bytes, cells: np.ndarray) -> str:
+    """``tag x y z`` rows from (n, 3, FIELD) cells."""
+    return _text(tag, cells[:, 0], b" ", cells[:, 1], b" ", cells[:, 2], b"\n")
 
 
 def _quads(nx: int, ny: int, offset: int = 0) -> np.ndarray:
     """Corner indices (a, b, c, d) of the quads of an nx-by-ny grid,
     row-major, for vertices numbered from ``offset + 1``."""
-    j, i = np.meshgrid(np.arange(ny - 1), np.arange(nx - 1), indexing="ij")
-    a = (offset + j * nx + i + 1).reshape(-1)
-    return np.stack([a, a + 1, a + nx + 1, a + nx], axis=1)
+    a = offset + 1 + (np.arange(ny - 1)[:, None] * nx + np.arange(nx - 1)).reshape(-1)
+    return a[:, None] + np.array([0, 1, nx + 1, nx])
 
 
-# the formatted positions and normals of each live grid, as "\n%.17g %.17g %.17g"
-# rows; a grid is immutable, so its entry cannot go stale, and it goes away with it
-_GRID_ROWS: weakref.WeakKeyDictionary[SurfaceGrid, tuple[str, str]] = weakref.WeakKeyDictionary()
+def _face_text(corners: np.ndarray) -> str:
+    """``f a b c d`` rows from (m, 4, w) cells."""
+    return _text(b"f ", corners[:, 0], b" ", corners[:, 1], b" ", corners[:, 2], b" ",
+                 corners[:, 3], b"\n")
 
 
-def _grid_rows(grid: SurfaceGrid) -> tuple[str, str]:
-    """Position and normal rows of ``grid``, each led by its newline,
-    formatted once per grid and shared by the OBJ and CSV writers."""
-    rows = _GRID_ROWS.get(grid)
-    if rows is None:
-        rows = tuple(_format_rows("\n%.17g %.17g %.17g", a.reshape(-1, 3))
-                     for a in (grid.positions, grid.normals))
-        _GRID_ROWS[grid] = rows
-    return rows
+# the formatted positions, normals, xs and ys of each live grid; a grid is
+# immutable, so its entry cannot go stale, and it goes away with it
+_GRID_CELLS: weakref.WeakKeyDictionary[SurfaceGrid, list[np.ndarray]] = weakref.WeakKeyDictionary()
+
+
+def _grid_cells(grid: SurfaceGrid) -> list[np.ndarray]:
+    """Position and normal cells, (n, 3, FIELD) each, and the xs and ys
+    cells of ``grid``, formatted once per grid and shared by the OBJ and
+    CSV writers."""
+    cells = _GRID_CELLS.get(grid)
+    if cells is None:
+        cells = _float_cells(grid.positions.reshape(-1, 3), grid.normals.reshape(-1, 3),
+                             grid.xs, grid.ys)
+        _GRID_CELLS[grid] = cells
+    return cells
 
 
 def obj_from_grid(grid: SurfaceGrid) -> str:
@@ -59,40 +249,31 @@ def obj_from_grid(grid: SurfaceGrid) -> str:
     (y index outer, x index inner), indices are 1-based.
     """
     ny, nx, _ = grid.positions.shape
-    positions, normals = _grid_rows(grid)
+    positions, normals, _, _ = _grid_cells(grid)
     # each index is formatted once, as the "a//a" token of its vertex and normal
-    tokens = np.array([f"{a}//{a}" for a in range(1, nx * ny + 1)], dtype=object)
-    corners = tokens[_quads(nx, ny, -1)]
-    # every row after the header starts with its newline; the last one ends the file
+    index = _int_cells(np.arange(1, nx * ny + 1))
+    tokens = _join(index, b"//", index)
     return "".join([
-        f"# parametric grid {nx} x {ny}, model {grid.model.value}",
-        positions.replace("\n", "\nv "),
-        normals.replace("\n", "\nvn "),
-        ("\nf %s %s %s %s" * len(corners)) % tuple(corners.reshape(-1).tolist()),
-        "\n",
+        f"# parametric grid {nx} x {ny}, model {grid.model.value}\n",
+        _vertex_text(b"v ", positions),
+        _vertex_text(b"vn ", normals),
+        _face_text(tokens[_quads(nx, ny, -1)]),
     ])
 
 
 def csv_from_grid(grid: SurfaceGrid) -> str:
     """CSV rows x,y,px,py,pz,nx,ny,nz at full double precision."""
     ny, nx, _ = grid.positions.shape
-    positions, normals = _grid_rows(grid)
-    xs = ["%.17g" % x for x in grid.xs.tolist()]
-    ys = ["%.17g" % y for y in grid.ys.tolist()]
-    fields = [None] * (4 * nx * ny)
-    fields[0::4] = xs * ny
-    fields[1::4] = [y for y in ys for _ in range(nx)]
-    fields[2::4] = positions.split("\n")[1:]
-    fields[3::4] = normals.split("\n")[1:]
-    # neither the header nor a formatted float holds a space
-    text = ("x,y,px,py,pz,nx,ny,nz" + "\n%s %s %s %s" * (nx * ny) + "\n") % tuple(fields)
-    return text.replace(" ", ",")
+    p, n, xs, ys = _grid_cells(grid)
+    return "x,y,px,py,pz,nx,ny,nz\n" + _text(
+        np.tile(xs, (ny, 1)), b",", np.repeat(ys, nx, axis=0), b",",
+        p[:, 0], b",", p[:, 1], b",", p[:, 2], b",", n[:, 0], b",", n[:, 1], b",", n[:, 2], b"\n")
 
 
-def _segments(lines_in: Iterable[OrientedLine], box: float) -> tuple[str, int]:
-    """OBJ text of the clipped line elements, and how many vertices it holds."""
-    out = ["# oriented lines clipped to the cube of half-width %.17g\n" % box]
-    vertex_count = 0
+def _clipped_ends(lines_in: Iterable[OrientedLine], box: float) -> np.ndarray:
+    """(m, 2, 3): the two ends of each line clipped to the cube of
+    half-width ``box``; lines that miss the cube are left out."""
+    ends = []
     for line in lines_in:
         # clip by intersecting the parameter intervals per axis
         lo, hi = -np.inf, np.inf
@@ -106,12 +287,9 @@ def _segments(lines_in: Iterable[OrientedLine], box: float) -> tuple[str, int]:
                     continue
                 ta, tb = (-box - p) / d, (box - p) / d
                 lo, hi = max(lo, min(ta, tb)), min(hi, max(ta, tb))
-        if not lo < hi:
-            continue
-        out.append(_format_rows(VERTEX_ROW, [line.at(float(lo)), line.at(float(hi))]))
-        vertex_count += 2
-        out.append(f"l {vertex_count - 1} {vertex_count}\n")
-    return "".join(out), vertex_count
+        if lo < hi:
+            ends.append([line.at(float(lo)), line.at(float(hi))])
+    return np.array(ends).reshape(-1, 2, 3)
 
 
 def obj_from_segments_and_patches(lines_in: Iterable[OrientedLine],
@@ -122,18 +300,29 @@ def obj_from_segments_and_patches(lines_in: Iterable[OrientedLine],
     ``patches`` are (ny, nx, 3) position arrays; their vertex indices follow
     the line vertices.
     """
-    text, offset = _segments(lines_in, box)
-    parts = [text]
-    for patch in patches:
+    ends = _clipped_ends(lines_in, box)
+    box_cells, p, *patch_cells = _float_cells(
+        [box], ends.reshape(-1, 6), *(patch.reshape(-1, 3) for patch in patches))
+    # each line element is "v p\nv q\nl i j\n"
+    i = _int_cells(np.arange(1, 2 * len(ends) + 1).reshape(-1, 2))
+    parts = [
+        _text(b"# oriented lines clipped to the cube of half-width ", box_cells, b"\n"),
+        _text(b"v ", p[:, 0], b" ", p[:, 1], b" ", p[:, 2], b"\nv ", p[:, 3], b" ",
+              p[:, 4], b" ", p[:, 5], b"\nl ", i[:, 0], b" ", i[:, 1], b"\n"),
+    ]
+    offset = 2 * len(ends)
+    for patch, cells in zip(patches, patch_cells):
         ny, nx, _ = patch.shape
-        parts.append(_format_rows(VERTEX_ROW, patch.reshape(-1, 3)))
-        parts.append(_format_rows("f %d %d %d %d\n", _quads(nx, ny, offset)))
+        parts.append(_vertex_text(b"v ", cells))
+        parts.append(_face_text(_int_cells(_quads(nx, ny, offset))))
         offset += ny * nx
     return "".join(parts)
 
 
 def decay_csv(radii: Sequence[float], sups: Sequence[float]) -> str:
-    return "radius,sup_distance\n" + _format_rows("%.17g,%.17g\n", list(zip(radii, sups)))
+    n = min(len(radii), len(sups))
+    radii, sups = _float_cells(radii[:n], sups[:n])
+    return "radius,sup_distance\n" + _text(radii, b",", sups, b"\n")
 
 
 def to_plain(value):

@@ -284,10 +284,12 @@ def integrate(
     (the log, the product, the sum and the difference), and a term of the
     exponential data, whose exponent z is exact, 2 eps |t|.  A target's
     budget, the largest over the three components of the costs of their
-    terms at both endpoints, must not exceed tol.  Otherwise (and when F
-    overflows) QuadratureError, for the first failing endpoint, carries the
-    budget.  ValueError for a tol outside (0, inf), a non-finite endpoint
-    and, for PowerEndData, an endpoint outside the closed upper half-disk.
+    terms at both endpoints, must not exceed tol.  Otherwise QuadratureError
+    carries the largest budget over all targets, the least tol that passes;
+    where F overflows, which no tol mends, it names the first such endpoint
+    and carries inf instead.  ValueError for a tol outside (0, inf), a
+    non-finite endpoint and, for PowerEndData, an endpoint outside the
+    closed upper half-disk.
     """
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must lie in (0, inf), got {tol}")
@@ -304,13 +306,11 @@ def integrate(
     re, budgets, overflows = _antiderivative(data, z)
     with np.errstate(over="ignore", invalid="ignore"):
         budget = (budgets[:, :1] + budgets[:, 1:]).max(axis=0)
-        failed = overflows | np.concatenate(([False], ~(budget <= tol)))
-    if failed.any():
-        k = int(np.argmax(failed))
-        if overflows[k]:
-            raise QuadratureError(f"closed-form integral overflows at z = {complex(z[k])}",
-                                  math.inf)
-        raise QuadratureError(f"rounding budget exceeds tol = {tol:.3e}", float(budget[k - 1]))
+    if overflows.any():
+        raise QuadratureError(f"closed-form integral overflows at z = "
+                              f"{complex(z[np.argmax(overflows)])}", math.inf)
+    if not np.all(budget <= tol):
+        raise QuadratureError(f"rounding budget exceeds tol = {tol:.3e}", float(budget.max()))
     return np.ascontiguousarray((re[:, 1:] - re[:, :1]).T)
 
 

@@ -18,8 +18,9 @@ These deliberately avoid the code paths they check:
   cache around the frozen antiderivative;
 * the direction oracle is a dense grid search on the sphere instead of a
   triangle solve;
-* the emitter oracles format one float at a time instead of a whole array
-  at once;
+* the emitter oracles format one float at a time with "%.17g" instead of
+  a whole array at once from byte tables, and the frozen "%" writers, one
+  "%" operation per array, are the memory baseline of the byte tables;
 * the classification oracles write out each slack formula and membership
   rule separately, and test membership by barycentric coordinates too;
 * the mean-curvature estimator differences the closed-form surfaces;
@@ -41,6 +42,7 @@ import functools
 import math
 import sys
 import warnings
+import weakref
 from dataclasses import dataclass, fields, replace
 from enum import Enum
 from fractions import Fraction
@@ -597,6 +599,57 @@ def decay_csv(radii, sups) -> str:
     for r, s in zip(radii, sups):
         lines.append(f"{_fmt(r)},{_fmt(s)}")
     return "\n".join(lines) + "\n"
+
+
+# The frozen array-at-a-time grid writers that handed whole arrays to one
+# "%" operation, with their per-grid cache of formatted rows: the memory
+# baseline of the byte-table writers in trinoids.emit.
+
+_PERCENT_ROWS = weakref.WeakKeyDictionary()
+
+
+def _percent_rows(row_fmt, rows):
+    rows = np.asarray(rows)
+    return (row_fmt * len(rows)) % tuple(rows.reshape(-1).tolist())
+
+
+def _percent_grid_rows(grid):
+    rows = _PERCENT_ROWS.get(grid)
+    if rows is None:
+        rows = tuple(_percent_rows("\n%.17g %.17g %.17g", a.reshape(-1, 3))
+                     for a in (grid.positions, grid.normals))
+        _PERCENT_ROWS[grid] = rows
+    return rows
+
+
+def percent_obj_from_grid(grid) -> str:
+    ny, nx, _ = grid.positions.shape
+    positions, normals = _percent_grid_rows(grid)
+    tokens = np.array([f"{a}//{a}" for a in range(1, nx * ny + 1)], dtype=object)
+    j, i = np.meshgrid(np.arange(ny - 1), np.arange(nx - 1), indexing="ij")
+    a = (j * nx + i).reshape(-1)
+    corners = tokens[np.stack([a, a + 1, a + nx + 1, a + nx], axis=1)]
+    return "".join([
+        f"# parametric grid {nx} x {ny}, model {grid.model.value}",
+        positions.replace("\n", "\nv "),
+        normals.replace("\n", "\nvn "),
+        ("\nf %s %s %s %s" * len(corners)) % tuple(corners.reshape(-1).tolist()),
+        "\n",
+    ])
+
+
+def percent_csv_from_grid(grid) -> str:
+    ny, nx, _ = grid.positions.shape
+    positions, normals = _percent_grid_rows(grid)
+    xs = ["%.17g" % x for x in grid.xs.tolist()]
+    ys = ["%.17g" % y for y in grid.ys.tolist()]
+    fields = [None] * (4 * nx * ny)
+    fields[0::4] = xs * ny
+    fields[1::4] = [y for y in ys for _ in range(nx)]
+    fields[2::4] = positions.split("\n")[1:]
+    fields[3::4] = normals.split("\n")[1:]
+    text = ("x,y,px,py,pz,nx,ny,nz" + "\n%s %s %s %s" * (nx * ny) + "\n") % tuple(fields)
+    return text.replace(" ", ",")
 
 
 # --- classification ----------------------------------------------------------

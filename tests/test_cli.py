@@ -483,6 +483,19 @@ class TestVerifyEnd:
                            "--min-radius-exp", "5")
         assert code == 0 and err == ""
 
+    @pytest.mark.parametrize("tol", ["1e-10", "2e-10", "5e-10", "8e-10"])
+    def test_named_budget_passes_as_tol(self, capsys, tmp_path, tol):
+        # the error names the largest budget of the end, rounded up: passed
+        # back as --tol it exits 0.  alpha = 5/2 needs 8.7683e-10, which
+        # rounded to nearest would read 8.768e-10 and fail again
+        path = self.make_data_file(tmp_path, alpha=2.5)
+        code, _, err = run(capsys, "verify-end", str(path), "--tol", tol)
+        assert code == 2
+        budget = err.split("rounding budget ")[1].split(" ")[0]
+        assert budget == "8.769e-10"
+        code, out, err = run(capsys, "verify-end", str(path), "--tol", budget)
+        assert code == 0 and err == "" and json.loads(out)["pass"] is True
+
     @pytest.mark.parametrize("coefficients", [
         {"g1_re": [1e300], "g1_im": [0]},
         {"w1_re": [1e308, 1e308], "w1_im": [0, 0]},

@@ -7,7 +7,10 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -87,10 +90,10 @@ class TestSharedRows:
     def test_rows_go_away_with_the_grid(self):
         grid = cousin_grid(5, 4)
         emit.csv_from_grid(grid)
-        rows = emit._GRID_ROWS[grid]
+        rows = emit._GRID_CELLS[grid]
         del grid
         gc.collect()
-        assert all(entry is not rows for entry in emit._GRID_ROWS.values())
+        assert all(entry is not rows for entry in emit._GRID_CELLS.values())
 
 
 def test_special_values():
@@ -113,9 +116,15 @@ def test_degenerate_grid_shapes():
         assert_same_grid_text(grid)
 
 
+GRID_SHAPES = st.tuples(st.integers(1, 5), st.integers(1, 5), st.just(3))
+
+
 @settings(max_examples=40, deadline=None)
-@given(arrays(np.float64, st.tuples(st.integers(1, 5), st.integers(1, 5), st.just(3)),
-              elements=st.floats(allow_nan=True, allow_infinity=True)))
+@given(st.one_of(
+    arrays(np.float64, GRID_SHAPES, elements=st.floats(allow_nan=True, allow_infinity=True)),
+    # any bit pattern: NaN payloads, subnormals and every exponent alike
+    arrays(np.uint64, GRID_SHAPES, elements=st.integers(0, 2**64 - 1)).map(
+        lambda bits: bits.view(np.float64))))
 def test_arbitrary_doubles(positions):
     ny, nx, _ = positions.shape
     grid = SurfaceGrid(xs=positions[0, :, 0], ys=positions[:, 0, 1], positions=positions,
@@ -151,6 +160,105 @@ def test_segments_and_patches():
         oracles.obj_from_segments_and_patches([], patches)
     assert emit.obj_from_segments_and_patches(segments, []) == \
         oracles.obj_from_segments_and_patches(segments, [])
+
+
+class TestFloatKernel:
+    """emit._float_cells against "%.17g" % float(v), value by value."""
+
+    @staticmethod
+    def assert_formats_like_percent(values):
+        values = np.asarray(values, dtype=np.float64).reshape(-1)
+        (cells,) = emit._float_cells(values)
+        got = emit._text(cells, b"\n").split("\n")[:-1]
+        want = ["%.17g" % v for v in values.tolist()]
+        if got != want:
+            i = next(i for i, (g, w) in enumerate(zip(got, want)) if g != w)
+            pytest.fail(f"{values[i]!r} (bits {values[i:i + 1].view(np.uint64)[0]:#018x}) "
+                        f"formats as {got[i]!r}, not {want[i]!r}")
+
+    def test_raw_bit_patterns(self):
+        # a million doubles drawn bit pattern by bit pattern: about 3 % of
+        # them fall into the window 1e-4 <= |x| < 1e16, the rest fall back
+        bits = np.random.default_rng(2024).integers(0, 2**64, 10**6, dtype=np.uint64,
+                                                    endpoint=False)
+        self.assert_formats_like_percent(bits.view(np.float64))
+
+    def test_window_sweep(self):
+        # a million doubles log-uniform over the window and a decade beyond
+        # either end, with random signs
+        rng = np.random.default_rng(2025)
+        values = 10.0 ** rng.uniform(-5.0, 17.0, 10**6) * rng.choice([-1.0, 1.0], 10**6)
+        self.assert_formats_like_percent(values)
+
+    def test_powers_of_ten_neighbours(self):
+        # log10 is least sure of k next to a power of ten: 16 doubles on
+        # either side of every 10^j for j in -6..18, both signs
+        values = []
+        for j in range(-6, 19):
+            down = up = float(f"1e{j}")
+            values.append(down)
+            for _ in range(16):
+                down, up = np.nextafter(down, 0.0), np.nextafter(up, np.inf)
+                values += [down, up]
+        values = np.array(values)
+        self.assert_formats_like_percent(np.concatenate([values, -values]))
+
+    def test_half_way_ties(self):
+        # doubles whose exact expansion has 18 significant digits ending in
+        # 5: the 17th digit is a tie, which dtoa rounds half to even.  Below
+        # 2^51 the doubles are spaced 1/4 apart or closer, so n + 1/4 is one
+        # for a 16-digit n, and n + 1/8 for a 15-digit n
+        rng = np.random.default_rng(2026)
+        values = [2251799813685247.25, 2251799813685247.75]
+        for low, high, fractions in ((10**15, 2**51, (0.25, 0.75)),
+                                     (10**14, 10**15, (0.125, 0.375, 0.625, 0.875))):
+            values += [n + f for n in rng.integers(low, high, 500).tolist() for f in fractions]
+        for v in values:
+            digits = Decimal(v).as_tuple().digits
+            assert len(digits) == 18 and digits[-1] == 5
+        values = np.array(values)
+        self.assert_formats_like_percent(np.concatenate([values, -values]))
+
+    def test_round_up_to_a_power_of_ten(self):
+        # doubles just below 10^j whose 17 digits round up to 10^j: none
+        # lies in the window (there the doubles are spaced wider than half
+        # a unit of the 17th digit), so all of them take the fallback
+        values = [float(f"1e{j}") for j in range(-323, 309)
+                  if Fraction(float(f"1e{j}")) < Fraction(10) ** j]
+        ups = [v for v in values if ("%.17g" % v).split("e")[0] == "1"]
+        assert len(ups) >= 10
+        self.assert_formats_like_percent(np.array(ups + [-v for v in ups]))
+
+    def test_special_values(self):
+        tiny = np.random.default_rng(2027).integers(1, 2**52, 100, dtype=np.uint64)
+        values = SPECIALS + [-math.nan, 2.2250738585072009e-308, 1e-4, 1e16,
+                             np.nextafter(1e16, 0.0), np.nextafter(1e-4, 0.0)]
+        values = np.concatenate([values, tiny.view(np.float64), -tiny.view(np.float64)])
+        self.assert_formats_like_percent(values)
+
+    def test_shapes(self):
+        # every array keeps its shape, with the cells as a last axis
+        a, b, c = emit._float_cells(np.zeros((2, 3)), [], 1.5)
+        assert a.shape == (2, 3, emit.FIELD) and b.shape == (0, emit.FIELD)
+        assert c.shape == (emit.FIELD,) and bytes(c[c != 0]) == b"1.5"
+
+
+def test_less_memory_than_percent_writers():
+    # the OBJ and CSV of the benchmark's grid, both held: the byte tables
+    # peak no higher than the frozen "%" writers (about 28 MB against 35)
+    def peak(obj, csv):
+        grid = cousin_grid(201, 201, ball=True)
+        tracemalloc.start()
+        try:
+            texts = [obj(grid), csv(grid)]
+            assert len(texts[0]) > 7 * 10**6
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(emit.obj_from_grid, emit.csv_from_grid)
+    assert peak(emit.obj_from_grid, emit.csv_from_grid) <= \
+        peak(oracles.percent_obj_from_grid, oracles.percent_csv_from_grid)
 
 
 def test_decay_csv():

@@ -149,9 +149,8 @@ class TestSampleSameAsOriginal:
         errors = [abs(float(g) - float(w)) for row, want in zip(sample_rows(sample), values)
                   for g, w in zip(row, want)]
         assert max(errors) > 1e-10 and budgets.max() <= 1e-9
-        # the error names the budget of the first target over tol
-        assert err.value.achieved == pytest.approx(budgets[np.argmax(budgets > 1e-10)],
-                                                   rel=BUDGET_REL)
+        # the error names the largest budget of the end, the least tol that passes
+        assert err.value.achieved == pytest.approx(budgets.max(), rel=BUDGET_REL)
         report = asymptotics.verify_end(pe, tol=1e-9)
         assert report.passed and max(report.decay.sup_distance) < 1e-8
 
@@ -250,20 +249,23 @@ class TestSameBitsAsPathEngine:
     @pytest.mark.parametrize("alpha,seed", [(3.0, None), (3.0, 1), (3.0, 2), (3.0, 3)])
     def test_same_budget_error(self, alpha, seed):
         # alpha = 3 spends about 1.9e-10 of rounding at 2^-6 (the frozen
-        # engine's budget, a twentieth of that, ran out at 2^-8 only): the
-        # first target over tol names the error, with its budget
+        # engine's budget, a twentieth of that, ran out at 2^-8 only) and
+        # far more further in: the error is the frozen engine's, with the
+        # largest budget of the end, and that budget as tol passes
         pe = W.power_end_data(alpha) if seed is None else perturbed(alpha, seed)
         targets = sample_targets(DEFAULT, 33, 16)
         _, budgets = oracles.mp_integrate(W.conjugate_data(pe), 1.0, targets)
         first = int(np.argmax(budgets > 1e-10))
         assert targets[first] == 2**-6 and budgets[first] > 1e-10
+        assert budgets.max() > 10 * budgets[first]
         with pytest.raises(QuadratureError) as old:
             oracles.integrate_paths(W.conjugate_data(pe),
                                     [IntegrationPath(1.0, z) for z in targets])
         with pytest.raises(QuadratureError) as new:
             asymptotics.sample_conjugate_end(pe)
         assert message(new.value) == message(old.value)
-        assert new.value.achieved == pytest.approx(budgets[first], rel=BUDGET_REL)
+        assert new.value.achieved == pytest.approx(budgets.max(), rel=BUDGET_REL)
+        asymptotics.sample_conjugate_end(pe, tol=new.value.achieved)
 
     @pytest.mark.parametrize("alpha,seed,radii,arc,boundary,tol", END_SETS)
     def test_reports(self, alpha, seed, radii, arc, boundary, tol):
@@ -300,24 +302,25 @@ class TestSameBitsAsPathEngine:
         (W.catenoid_data(1.0), 30.0 + 0j, 1000.0 + 0j),
     ], ids=["power-end", "perturbed", "exponential"])
     def test_error_order(self, data, budget_z, overflow_z):
-        # the first failing target names the error: a budget failure before
-        # an overflow gives the budget error, the reverse order the
-        # overflow, each with the frozen engine's message; an overflow
-        # achieves inf, a budget the 160-bit one
+        # an overflow, which no tol mends, names the error in either order,
+        # with the frozen engine's message and an achieved inf; without it
+        # the budget error carries the largest budget, the 160-bit one
         z0 = 0.0 if isinstance(data, W.ExponentialData) else 1.0
-        _, (budget,) = oracles.mp_integrate(data, z0, [budget_z])
-        for targets, match in (([0.5, budget_z, overflow_z], "rounding budget"),
-                               ([0.5, overflow_z, budget_z], "overflows at z")):
-            with pytest.raises(QuadratureError, match=match) as new:
+        _, budgets = oracles.mp_integrate(data, z0, [0.5, budget_z])
+        assert budgets[1] > 1e-10 and budgets[1] == budgets.max()
+        for targets in ([0.5, budget_z, overflow_z], [0.5, overflow_z, budget_z]):
+            with pytest.raises(QuadratureError, match="overflows at z") as new:
                 integrate(data, z0, targets, 1e-10)
             with pytest.raises(QuadratureError) as old:
-                oracles.integrate_paths(data, [IntegrationPath(z0, z) for z in targets])
-            assert message(new.value) == message(old.value)
-            if match == "rounding budget":
-                assert new.value.achieved == pytest.approx(budget, rel=BUDGET_REL)
-            else:
-                assert str(new.value) == str(old.value)
-                assert bits(new.value.achieved) == bits(old.value.achieved)
+                oracles.integrate_paths(data, [IntegrationPath(z0, overflow_z)])
+            assert str(new.value) == str(old.value)
+            assert bits(new.value.achieved) == bits(old.value.achieved)
+        with pytest.raises(QuadratureError, match="rounding budget") as new:
+            integrate(data, z0, [budget_z, 0.5], 1e-10)
+        with pytest.raises(QuadratureError) as old:
+            oracles.integrate_paths(data, [IntegrationPath(z0, z) for z in (budget_z, 0.5)])
+        assert message(new.value) == message(old.value)
+        assert new.value.achieved == pytest.approx(budgets[1], rel=BUDGET_REL)
 
 
 class TestBudgetContract:
