@@ -10,7 +10,8 @@ Three one-parameter families, all indexed by lambda in I = (-1/4, inf) \\ {0}:
 * catenoid_cousin_point -- mean-curvature-1 surface in the upper half-space
                           model of hyperbolic 3-space
 
-plus a fixed isometry from the upper half-space model to the Poincare ball model.
+plus a fixed isometry from the upper half-space model to the Poincare ball model,
+and grids whose normals are closed forms too: gauss_normal_from_g of a Gauss map.
 """
 
 from __future__ import annotations
@@ -72,8 +73,8 @@ def catenoid_point(lam: float, x, y) -> np.ndarray:
 def catenoid_cousin_point(lam: float, x, y) -> np.ndarray:
     """Catenoid cousin in the upper half-space model, as (u, v, w).
 
-    With a = sqrt(1+4*lambda), c- = 1/2 + lambda - a/2, c+ = 1/2 + lambda + a/2
-    (both positive on I):
+    With a = sqrt(1+4*lambda), c+ = 1/2 + lambda + a/2 and c- = 1/2 + lambda - a/2
+    = lambda^2/c+ (both positive on I; the last form does not cancel):
 
         u + iv = -lambda (e^x + e^{-x}) e^{ax} / (c- e^{-x} + c+ e^{x}) * e^{iay}
         w      = a e^{ax} / (c- e^{-x} + c+ e^{x})
@@ -85,8 +86,8 @@ def catenoid_cousin_point(lam: float, x, y) -> np.ndarray:
     """
     _check_lambda(lam)
     a = math.sqrt(1.0 + 4.0 * lam)
-    cm = 0.5 + lam - 0.5 * a
     cp = 0.5 + lam + 0.5 * a
+    cm = lam * lam / cp
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     x, y = np.broadcast_arrays(x, y)
@@ -197,15 +198,17 @@ _EVALUATORS = {
 def surface_grid(kind: str, lam: float, xs, ys, ball_model: bool = False) -> SurfaceGrid:
     """Sample one of the catalog surfaces over xs x ys.
 
-    kind is "helicoid", "catenoid" or "cousin".  Helicoid and catenoid
-    normals are the inverse stereographic projection of the Gauss map
-    g = e^{x+iy}, (2 Re g, 2 Im g, |g|^2 - 1) / (|g|^2 + 1), with |g|^2
-    taken as abs(g)**2, inline: gauss_normal_from_g sums Re g^2 + Im g^2,
-    which can differ in the last bit.  Cousin normals are central-difference
-    normals of the parametrization (oriented along Xx x Xy).  With
-    ball_model=True the cousin is pushed through halfspace_to_ball
-    (positions only; normals are recomputed by differencing the mapped
-    surface).
+    kind is "helicoid", "catenoid" or "cousin".  Every normal, oriented
+    along Xx x Xy, is gauss_normal_from_g of a closed-form g: the Gauss map
+    e^{x+iy} of the helicoid and catenoid, and for the cousin (G - q)/w,
+    since its unit normal at (q, w), q = u + iv, points along the geodesic
+    to its hyperbolic Gauss map G = e^{az}.  That g is
+    ((a+1) e^x + (a-1) e^{-x})/2 * e^{iay}, with a - 1 = 4*lambda/(a+1) so
+    that nothing cancels.  With ball_model=True the cousin is pushed
+    through halfspace_to_ball, an inversion about c = (0, 0, -1) followed
+    by a swap of the last two axes; its normal N is reflected in P - c and
+    has the same two axes swapped.  Both steps reverse orientation, so
+    together they keep it.
     """
     if kind not in _EVALUATORS:
         raise ValueError(f"unknown surface kind {kind!r}")
@@ -216,26 +219,22 @@ def surface_grid(kind: str, lam: float, xs, ys, ball_model: bool = False) -> Sur
     ys = np.asarray(ys, dtype=float)
     X, Y = np.meshgrid(xs, ys)
 
-    def sample(xv, yv):
-        pts = evaluator(lam, xv, yv)
-        if ball_model:
-            pts = halfspace_to_ball(pts)
-        return pts
-
     # a grid out of floating-point range fails validate() below, with one
     # message instead of numpy's warnings
     with np.errstate(all="ignore"):
-        positions = sample(X, Y)
-        if kind == "cousin" or ball_model:
-            h = 1e-5
-            Xu = (sample(X + h, Y) - sample(X - h, Y)) / (2 * h)
-            Xv = (sample(X, Y + h) - sample(X, Y - h)) / (2 * h)
-            normals = np.cross(Xu, Xv)
-            normals /= np.linalg.norm(normals, axis=-1, keepdims=True)
+        positions = evaluator(lam, X, Y)
+        if kind == "cousin":
+            a = math.sqrt(1.0 + 4.0 * lam)
+            r = 0.5 * ((a + 1.0) * np.exp(X) + 4.0 * lam / (a + 1.0) * np.exp(-X))
+            g = r * np.exp(1j * (a * Y))
         else:
             g = np.exp(X + 1j * Y)
-            m2 = np.abs(g) ** 2
-            normals = np.stack([2 * g.real, 2 * g.imag, m2 - 1.0], axis=-1) / (m2 + 1.0)[..., None]
+        normals = gauss_normal_from_g(g)
+        if ball_model:
+            pc = positions + (0.0, 0.0, 1.0)
+            k = 2.0 * np.sum(pc * normals, axis=-1) / np.sum(pc * pc, axis=-1)
+            normals = (normals - k[..., None] * pc)[..., [0, 2, 1]]
+            positions = halfspace_to_ball(positions)
     grid = SurfaceGrid(
         xs=xs,
         ys=ys,

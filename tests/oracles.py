@@ -26,6 +26,11 @@ These deliberately avoid the code paths they check:
 * the mean-curvature estimator differences the closed-form surfaces;
 * the ball-to-half-space map inverts the program's half-space-to-ball map
   with its own formula;
+* the cousin oracles evaluate its parametrization as its docstring states
+  it, c- included, in 60-digit mpmath, and take grid normals as the cross
+  product of mpmath.diff partials of that parametrization (mapped to the
+  ball at the same precision), not from a Gauss map; the helicoid and
+  catenoid normal is written out as (cos y sech x, sin y sech x, tanh x);
 * the helicoid distance oracle loops over points one at a time, and the
   frozen array version allocates every step of its scan anew;
 * the constellation oracles take every cross product with np.cross and
@@ -511,6 +516,70 @@ def ball_to_halfspace(p) -> np.ndarray:
     e = y1 * y1 + y2 * y2 + (y3 - 1.0) ** 2
     return np.stack([2.0 * y1 / e, 2.0 * y2 / e, (1.0 - n2) / e], axis=-1)
 
+
+
+# --- surfaces in high precision ----------------------------------------------
+
+SURFACE_DPS = 60
+
+
+def _mp_cousin(lam, x, y):
+    a = mpmath.sqrt(1 + 4 * lam)
+    cm = mpmath.mpf(1) / 2 + lam - a / 2
+    cp = mpmath.mpf(1) / 2 + lam + a / 2
+    den = cm * mpmath.exp(-x) + cp * mpmath.exp(x)
+    pref = -lam * (mpmath.exp(x) + mpmath.exp(-x)) * mpmath.exp(a * x) / den
+    return [pref * mpmath.cos(a * y), pref * mpmath.sin(a * y), a * mpmath.exp(a * x) / den]
+
+
+def _mp_ball(p):
+    u, v, w = p
+    d = u * u + v * v + (w + 1) ** 2
+    return [2 * u / d, -(u * u + v * v + w * w - 1) / d, 2 * v / d]
+
+
+def mp_cousin_point(lam: float, x: float, y: float) -> np.ndarray:
+    """The cousin's (u, v, w) at (x, y) in the upper half-space model."""
+    with mpmath.workdps(SURFACE_DPS):
+        point = _mp_cousin(mpmath.mpf(lam), mpmath.mpf(x), mpmath.mpf(y))
+        return np.array([float(c) for c in point])
+
+
+def mp_grid_normal(lam: float, x: float, y: float, ball: bool = False) -> np.ndarray:
+    """Unit normal Xx x Xy / |Xx x Xy| of the cousin at (x, y), in the ball
+    model if ball, from mpmath.diff partials of the 60-digit parametrization.
+
+    The ball's second coordinate, (1 - r^2)/d with r = |(u, v, w)|, is -1
+    plus a term of order 1/r^2 for large r and 1 - 2w for small r, so the
+    ball map carries log10(1 + r^2) + log10(1 + 1/w) more digits."""
+    lam, x, y = mpmath.mpf(lam), mpmath.mpf(x), mpmath.mpf(y)
+    dps = SURFACE_DPS
+    if ball:
+        with mpmath.workdps(SURFACE_DPS):
+            p = _mp_cousin(lam, x, y)
+            dps += int(mpmath.log10(1 + sum(c * c for c in p)) + mpmath.log10(1 + 1 / p[2]))
+    with mpmath.workdps(dps):
+
+        def coordinate(k, s, t):
+            p = _mp_cousin(lam, s, t)
+            return (_mp_ball(p) if ball else p)[k]
+
+        px = [mpmath.diff(lambda s: coordinate(k, s, y), x) for k in range(3)]
+        py = [mpmath.diff(lambda t: coordinate(k, x, t), y) for k in range(3)]
+        n = [px[1] * py[2] - px[2] * py[1],
+             px[2] * py[0] - px[0] * py[2],
+             px[0] * py[1] - px[1] * py[0]]
+        length = mpmath.sqrt(sum(c * c for c in n))
+        return np.array([float(c / length) for c in n])
+
+
+def minimal_normal(x, y) -> np.ndarray:
+    """Unit normal of the helicoid and the catenoid, oriented along Xx x Xy:
+    (cos y sech x, sin y sech x, tanh x)."""
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    with np.errstate(over="ignore"):
+        sech = 1.0 / np.cosh(x)
+    return np.stack([np.cos(y) * sech, np.sin(y) * sech, np.tanh(x)], axis=-1)
 
 
 # --- emitters ----------------------------------------------------------------

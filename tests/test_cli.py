@@ -276,15 +276,31 @@ class TestSurface:
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert not obj.exists()
 
-    def test_nan_normals_rejected(self, capsys, tmp_path):
-        # |g|^2 overflows here, so the Gauss-map normals are NaN although
-        # the positions are finite; such a grid used to be written
+    @pytest.mark.parametrize("kind, lam, bounds", [
+        ("catenoid", "1", ["--xmin", "400", "--xmax", "401", "--nx", "3", "--ny", "3"]),
+        ("catenoid", "0.3", ["--xmin=-700", "--xmax=700"]),
+        ("helicoid", "0.3", ["--xmin=-700", "--xmax=700"]),
+    ])
+    def test_far_minimal_normals_exact(self, capsys, tmp_path, kind, lam, bounds):
+        # |g|^2 overflows here; the exact normals are still unit vectors
         csv = tmp_path / "c.csv"
-        code, out, err = run(capsys, "surface", "catenoid", "1", "--xmin", "400",
-                             "--xmax", "401", "--nx", "3", "--ny", "3", "--csv", str(csv))
-        assert code == 2
-        assert err == "error: grid normals must be unit length\n"
-        assert not csv.exists()
+        code, out, err = run(capsys, "surface", kind, lam, *bounds, "--csv", str(csv))
+        assert (code, err) == (0, "")
+        rows = np.loadtxt(csv, delimiter=",", skiprows=1, ndmin=2)
+        assert np.all(np.isfinite(rows))
+        normals = rows[:, 5:]
+        assert np.all(np.abs(np.linalg.norm(normals, axis=1) - 1.0) <= 1e-15)
+        assert np.abs(normals - oracles.minimal_normal(rows[:, 0], rows[:, 1])).max() <= 1e-14
+
+    @pytest.mark.parametrize("lam, bounds", [("0.3", ["--xmin=-300", "--xmax=300"]),
+                                             ("1e-200", [])])
+    def test_far_and_tiny_cousin(self, capsys, tmp_path, lam, bounds):
+        csv = tmp_path / "c.csv"
+        code, out, err = run(capsys, "surface", "cousin", lam, *bounds, "--csv", str(csv))
+        assert (code, err) == (0, "")
+        rows = np.loadtxt(csv, delimiter=",", skiprows=1, ndmin=2)
+        assert np.all(np.isfinite(rows)) and np.all(rows[:, 4] > 0)
+        assert np.all(np.abs(np.linalg.norm(rows[:, 5:], axis=1) - 1.0) <= 1e-15)
 
     @pytest.mark.parametrize("flag", ["--xmin", "--xmax", "--ymin", "--ymax"])
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])

@@ -376,11 +376,11 @@ class _NumpyCross(ast.NodeVisitor):
 
 
 def test_np_cross_only_in_surface_grid():
-    """Single 3-vectors go through lines.cross3; only the batched grid normals
-    of surfaces.surface_grid keep np.cross."""
+    """Single 3-vectors go through lines.cross3, and grid normals come from
+    closed-form Gauss maps: no module calls np.cross."""
     found = []
     for path in sorted(SRC.glob("*.py")):
         finder = _NumpyCross()
         finder.visit(ast.parse(path.read_text()))
         found += [f"{path.stem}.{hit}" for hit in finder.hits]
-    assert found == ["surfaces.surface_grid"]
+    assert found == []

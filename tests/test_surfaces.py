@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from oracles import CurvatureEstimate, ball_to_halfspace, mean_curvature_estimate
 from trinoids import weierstrass as W
 from trinoids.surfaces import (
     Model,
+    SurfaceGrid,
     catenoid_cousin_point,
     catenoid_point,
     cousin_period,
@@ -99,6 +101,17 @@ class TestCousin:
             p1 = catenoid_cousin_point(lam, x, y)
             p2 = catenoid_cousin_point(lam, x, y + cousin_period(lam))
             assert np.linalg.norm(p1 - p2) <= 1e-12 * (1.0 + np.linalg.norm(p1))
+
+    @pytest.mark.parametrize("lam", [1e-8, -1e-8, 1e-6, 1e-4, 0.05, -0.2499])
+    def test_positions_against_mpmath(self, lam):
+        # c- = lambda^2/c+ does not cancel for small |lambda| as
+        # 1/2 + lambda - a/2 does
+        ys = np.linspace(0.0, cousin_period(lam), 5)
+        for x in np.linspace(-30.0, 30.0, 61):
+            for y in ys:
+                want = oracles.mp_cousin_point(lam, x, y)
+                got = catenoid_cousin_point(lam, x, y)
+                assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
     def test_w_positive_far_out(self):
         for lam in (-0.2, 0.5, 0.75, 2.0, 3.0):
@@ -240,3 +253,34 @@ class TestSurfaceGrid:
         translation = diffs.mean(axis=0)
         assert np.abs(diffs - translation).max() < 1e-8
         assert np.abs(translation).max() < 1e-8
+
+    @pytest.mark.parametrize("ball", [False, True])
+    @pytest.mark.parametrize("lam, xmax", [
+        (-0.2499, 60.0), (-0.2, 30.0), (-1e-6, 30.0), (1e-6, 30.0), (0.05, 60.0),
+        (0.75, 10.0), (3.0, 30.0), (10.0, 15.0), (100.0, 15.0),
+    ])
+    def test_cousin_normals_against_mpmath(self, lam, xmax, ball):
+        xs = np.linspace(-xmax, xmax, 9)
+        ys = np.linspace(0.0, cousin_period(lam), 5)
+        grid = surface_grid("cousin", lam, xs, ys, ball_model=ball)
+        for j, y in enumerate(ys):
+            for i, x in enumerate(xs):
+                want = oracles.mp_grid_normal(lam, x, y, ball)
+                assert np.abs(grid.normals[j, i] - want).max() <= 1e-14
+
+    @pytest.mark.parametrize("kind", ["helicoid", "catenoid"])
+    @pytest.mark.parametrize("lam", [0.3, -0.2])
+    def test_minimal_normals_exact(self, kind, lam):
+        xs = np.linspace(-700.0, 700.0, 281)
+        ys = np.linspace(-PI, PI, 13)
+        grid = surface_grid(kind, lam, xs, ys)
+        X, Y = np.meshgrid(xs, ys)
+        assert np.abs(grid.normals - oracles.minimal_normal(X, Y)).max() <= 1e-14
+
+    def test_nan_normals_rejected(self):
+        grid = surface_grid("catenoid", 1.0, [0.0, 1.0], [0.0, 1.0])
+        normals = grid.normals.copy()
+        normals[1, 0] = np.nan
+        bad = SurfaceGrid(grid.xs, grid.ys, grid.positions, normals, Model.EUCLIDEAN)
+        with pytest.raises(ValueError, match="^grid normals must be unit length$"):
+            bad.validate()
