@@ -68,6 +68,16 @@ def _one_line(exc: BaseException) -> str:
     return " ".join(str(exc).splitlines())
 
 
+@functools.lru_cache(maxsize=None)
+def _data_validator():
+    """jsonschema's validator of verify-end's data files, whose errors it prints."""
+    import jsonschema
+
+    schema = emit.load_schema("weierstrass_data.schema.json")
+    jsonschema.Draft7Validator.check_schema(schema)
+    return jsonschema.Draft7Validator(schema)
+
+
 def _emit(doc: dict, schema: str, json_path: Optional[str], force: bool) -> None:
     doc = emit.to_plain(doc)
     emit.validate_against_schema(doc, schema)
@@ -191,7 +201,10 @@ def cmd_verify_end(args) -> int:
         except RecursionError:
             raise ValueError("data file is nested too deeply") from None
     try:
-        emit.validate_against_schema(doc, "weierstrass_data.schema.json")
+        import jsonschema
+        error = jsonschema.exceptions.best_match(_data_validator().iter_errors(doc))
+        if error is not None:
+            raise error
     except Exception as exc:
         message = getattr(exc, "message", exc)
         raise ValueError(f"data file does not match the data schema: {message}") from exc

@@ -1,5 +1,8 @@
 """Deterministic OBJ, CSV and JSON emitters used by the command line.
 
+Each JSON document is checked against its schema by a checker compiled once
+per shipped schema (``_compile``); jsonschema is the checker's test oracle.
+
 Every float in an OBJ or CSV file is written as ``"%.17g" % x`` would write
 it, byte for byte, but a whole array at a time.  CPython formats 17 digits
 with bignum arithmetic (its dtoa takes a fast path only up to 14), about
@@ -36,6 +39,8 @@ from __future__ import annotations
 
 import functools
 import json
+import math
+import operator
 import os
 import secrets
 import weakref
@@ -326,49 +331,98 @@ def decay_csv(radii: Sequence[float], sups: Sequence[float]) -> str:
 
 
 def to_plain(value):
-    """Recursively convert numpy scalars/arrays to built-in Python types."""
+    """Recursively convert numpy values to built-in types; TypeError on a non-JSON value."""
     if isinstance(value, dict):
         return {k: to_plain(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [to_plain(v) for v in value]
-    if isinstance(value, np.ndarray):
+    if isinstance(value, (np.ndarray, np.generic)):
         return to_plain(value.tolist())
-    if isinstance(value, np.generic):
-        return value.item()
-    return value
+    if value is None or isinstance(value, (str, int, float)):
+        return value
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def dump_json(doc: dict) -> str:
-    """Canonical JSON text: sorted keys, two-space indent, trailing newline."""
-    return json.dumps(to_plain(doc), sort_keys=True, indent=2) + "\n"
+    """Canonical JSON text: sorted keys, two-space indent, trailing newline.
+    Only numpy values are converted, by ``to_plain``, as they are met."""
+    return json.dumps(doc, sort_keys=True, indent=2, default=to_plain) + "\n"
 
 
 def load_schema(name: str) -> dict:
     """Load a JSON schema shipped with the package."""
-    with resources.files("trinoids.schemas").joinpath(name).open("r") as fh:
-        return json.load(fh)
+    return json.loads(resources.files("trinoids.schemas").joinpath(name).read_text())
+
+
+class SchemaViolation(Exception):
+    """A document breaks its schema: a fault of the program, so not a ValueError (bad input)."""
+
+
+# a number breaks a bound where the comparison holds (so NaN breaks none)
+_BOUNDS = {"minimum": operator.lt, "maximum": operator.gt,
+           "exclusiveMinimum": operator.le, "exclusiveMaximum": operator.ge}
+# the draft-07 keywords of the shipped schemas; any other fails the compile
+_KEYWORDS = {"$schema", "title", "definitions", "$ref", "type", "enum", "const", "oneOf",
+             "required", "properties", "additionalProperties", "items", "minItems", "maxItems",
+             *_BOUNDS}
+_TYPES = {"object": dict, "array": list, "string": str, "boolean": bool,
+          "null": type(None), "number": (int, float), "integer": (int, float)}
+
+
+def _compile(node: dict, root: dict):
+    """A function of a plain JSON value: None if it matches the schema
+    ``node`` of ``root`` as draft-07 reads it (a bool is not a number, an
+    integral float is an integer), else the JSON pointer of a failing value."""
+    if "$ref" in node:  # draft-07 ignores the keywords beside a $ref
+        return _compile(root["definitions"][node["$ref"].removeprefix("#/definitions/")], root)
+    values = node.get("enum", [node["const"]] if "const" in node else None)
+    if (node.keys() - _KEYWORDS or node.get("additionalProperties", False) is not False
+            or not all(isinstance(v, str) for v in values or ())):
+        raise NotImplementedError(f"schema {node!r} uses a form that the checker lacks")
+    kind = node.get("type")
+    types, of_numbers = _TYPES[kind] if kind else object, kind in ("number", "integer")
+    branches = [_compile(b, root) for b in node.get("oneOf", ())]
+    required, closed = set(node.get("required", ())), "additionalProperties" in node
+    properties = {k: _compile(v, root) for k, v in node.get("properties", {}).items()}
+    items = _compile(node["items"], root) if "items" in node else None
+    lengths = node.get("minItems", 0), node.get("maxItems", math.inf)
+    bounds = [(op, node[k]) for k, op in _BOUNDS.items() if k in node]
+
+    def check(value) -> Optional[str]:
+        numeric = isinstance(value, (int, float)) and not isinstance(value, bool)
+        if not (isinstance(value, types) and (numeric or not of_numbers)
+                and (kind != "integer" or not isinstance(value, float) or value.is_integer())
+                and (values is None or value in values)
+                and (not branches or sum(b(value) is None for b in branches) == 1)
+                and not (bounds and numeric and any(op(value, b) for op, b in bounds))
+                and (not isinstance(value, dict) or required <= value.keys()
+                     and (not closed or value.keys() <= properties.keys()))
+                and (not isinstance(value, list) or lengths[0] <= len(value) <= lengths[1])):
+            return f": {value!r} breaks the schema"
+        if isinstance(value, dict):
+            for key, sub in properties.items():
+                if key in value and (error := sub(value[key])):
+                    return f"/{key}{error}"
+        elif isinstance(value, list) and items:
+            for i, item in enumerate(value):
+                if error := items(item):
+                    return f"/{i}{error}"
+
+    return check
 
 
 @functools.lru_cache(maxsize=None)
-def _validator(name: str):
-    """The validator of a shipped schema; the schema is loaded and checked
-    against its metaschema once per process."""
-    import jsonschema
-
+def _checker(name: str):
+    """The checker of a shipped schema, compiled once per process."""
     schema = load_schema(name)
-    cls = jsonschema.validators.validator_for(schema)
-    cls.check_schema(schema)
-    return cls(schema)
+    return _compile(schema, schema)
 
 
 def validate_against_schema(doc: dict, schema_name: str) -> None:
-    """``jsonschema.validate`` without checking the schema again on every call:
-    the same best-matching error is raised."""
-    import jsonschema
-
-    error = jsonschema.exceptions.best_match(_validator(schema_name).iter_errors(to_plain(doc)))
-    if error is not None:
-        raise error
+    """Raise SchemaViolation, naming a JSON pointer, unless the plain ``doc`` matches."""
+    error = _checker(schema_name)(doc)
+    if error:
+        raise SchemaViolation(f"{schema_name}: #{error}")
 
 
 def write_text(path: Optional[str], text: str, force: bool = False) -> None:

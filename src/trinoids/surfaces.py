@@ -34,40 +34,37 @@ class Model(Enum):
     BALL = "ball"
 
 
+def _in_range(kind: str, points, why: str = "a coordinate is not finite", ok: bool = True):
+    """``points``, if ``ok`` and all finite; else a ValueError that names the input."""
+    if not (ok and np.all(np.isfinite(points))):
+        raise ValueError(f"{kind} point out of floating-point range ({why}); "
+                         "|x| or |y| too large for this lambda")
+    return points
+
+
 def helicoid_point(lam: float, x, y) -> np.ndarray:
     """Point of the helicoid: 2*lambda*(sinh x sin y, -sinh x cos y, -y).
 
     For fixed y the image is a horizontal line (a ruling) through the axis
-    point (0, 0, -2*lambda*y); the axis is the z-axis.
+    point (0, 0, -2*lambda*y); the axis is the z-axis.  A point out of
+    floating-point range raises ValueError.
     """
     _check_lambda(lam)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    sh = np.sinh(x)
-    return np.stack(
-        np.broadcast_arrays(
-            2.0 * lam * sh * np.sin(y),
-            -2.0 * lam * sh * np.cos(y),
-            -2.0 * lam * y,
-        ),
-        axis=-1,
-    )
+    s = 2.0 * lam * np.sinh(x)
+    points = np.stack(np.broadcast_arrays(s * np.sin(y), -s * np.cos(y), -2.0 * lam * y), -1)
+    return _in_range("helicoid", points)
 
 
 def catenoid_point(lam: float, x, y) -> np.ndarray:
-    """Point of the catenoid: (-2l cosh x cos y, -2l cosh x sin y, 2l x)."""
+    """Catenoid point (-2l cosh x cos y, -2l cosh x sin y, 2l x); ValueError if out of range."""
     _check_lambda(lam)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    ch = np.cosh(x)
-    return np.stack(
-        np.broadcast_arrays(
-            -2.0 * lam * ch * np.cos(y),
-            -2.0 * lam * ch * np.sin(y),
-            2.0 * lam * x,
-        ),
-        axis=-1,
-    )
+    c = 2.0 * lam * np.cosh(x)
+    points = np.stack(np.broadcast_arrays(-c * np.cos(y), -c * np.sin(y), 2.0 * lam * x), -1)
+    return _in_range("catenoid", points)
 
 
 def catenoid_cousin_point(lam: float, x, y) -> np.ndarray:
@@ -109,10 +106,7 @@ def catenoid_cousin_point(lam: float, x, y) -> np.ndarray:
         w[~pos] = a * np.exp((a + 1.0) * xn) / den
         out = np.stack([pref * np.cos(a * y), pref * np.sin(a * y), w], axis=-1)
 
-    if not (np.all(w > 0.0) and np.all(np.isfinite(out))):
-        raise ValueError("cousin point out of floating-point range (w underflowed to 0 "
-                         "or a coordinate is not finite); |x| or |y| too large for this lambda")
-    return out
+    return _in_range("cousin", out, "w underflowed to 0 or a coordinate is not finite", np.all(w > 0))
 
 
 def cousin_period(lam: float) -> float:
@@ -219,8 +213,7 @@ def surface_grid(kind: str, lam: float, xs, ys, ball_model: bool = False) -> Sur
     ys = np.asarray(ys, dtype=float)
     X, Y = np.meshgrid(xs, ys)
 
-    # a grid out of floating-point range fails validate() below, with one
-    # message instead of numpy's warnings
+    # out-of-range points fail in the evaluator or in validate(), with no numpy warnings
     with np.errstate(all="ignore"):
         positions = evaluator(lam, X, Y)
         if kind == "cousin":

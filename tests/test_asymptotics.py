@@ -211,12 +211,11 @@ class TestFullPipeline:
 
     def test_json_report_schema(self):
         from trinoids.asymptotics import verification_to_json
-        from trinoids.emit import validate_against_schema
 
         report = verify_end(W.power_end_data(0.5), radii=SHORT_RADII,
                             samples_per_arc=9, boundary_samples=10)
         doc = verification_to_json(report)
-        validate_against_schema(doc, "verify_end.schema.json")
+        oracles.validate_against_schema(doc, "verify_end.schema.json")
 
 
 def _bits(a):

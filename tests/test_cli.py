@@ -11,7 +11,7 @@ import pytest
 import oracles
 from trinoids import cli, surfaces
 from trinoids import weierstrass as W
-from trinoids.emit import dump_json, validate_against_schema
+from trinoids.emit import dump_json
 
 PI = math.pi
 
@@ -36,7 +36,7 @@ class TestClassify:
         code, out, _ = run(capsys, "classify", "1.5707963", "1.5707963", "1.5707963")
         assert code == 0
         doc = json.loads(out)
-        validate_against_schema(doc, "classify.schema.json")
+        oracles.validate_against_schema(doc, "classify.schema.json")
         assert doc["tag"] == "GenericAdmissible"
         assert len(doc["slacks"]) == 4
 
@@ -103,7 +103,7 @@ class TestConvert:
         code, out, _ = run(capsys, "convert", "--from", "lambda", "0.75")
         assert code == 0
         doc = json.loads(out)
-        validate_against_schema(doc, "convert.schema.json")
+        oracles.validate_against_schema(doc, "convert.schema.json")
         assert doc["phi"] == pytest.approx(PI / 2)
         assert doc["mu_bryant"] == pytest.approx(-0.25)
         assert doc["lambda_bps"] == pytest.approx(0.25)
@@ -262,6 +262,8 @@ class TestSurface:
         ("cousin", "1", ["--xmin", "0", "--xmax", "300", "--model", "ball"]),
         ("catenoid", "1", ["--xmin", "-1000", "--xmax", "1000"]),
         ("helicoid", "1", ["--xmin", "-1000", "--xmax", "1000"]),
+        ("catenoid", "0.3", ["--xmin=-800", "--xmax=-700"]),
+        ("helicoid", "0.3", ["--xmin=-800", "--xmax=-700"]),
     ])
     def test_out_of_range_domain(self, capsys, tmp_path, kind, lam, extra):
         obj = tmp_path / "x.obj"
@@ -271,7 +273,7 @@ class TestSurface:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1, err
-        if kind == "cousin" and "--model" not in extra:
+        if "--model" not in extra:
             assert "too large for this lambda" in err
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert not obj.exists()
@@ -355,7 +357,7 @@ class TestConstellation:
                            repr(PI / 2), "--emit-obj", str(obj))
         assert code == 0
         doc = json.loads(out)
-        validate_against_schema(doc, "constellation.schema.json")
+        oracles.validate_against_schema(doc, "constellation.schema.json")
         assert doc["count"] == 2
         assert doc["solutions"][0]["residuals"]["max"] < 1e-9
         text = obj.read_text()
@@ -412,7 +414,7 @@ class TestConstellation:
         phis = (3.877899969905752, 0.7356678654614176, 0.0006582943895908233)
         code, out, _ = run(capsys, "constellation", *map(repr, phis))
         doc = json.loads(out)
-        validate_against_schema(doc, "constellation.schema.json")
+        oracles.validate_against_schema(doc, "constellation.schema.json")
         assert code == 0 and doc["count"] == 2
         assert max(s["residuals"]["max"] for s in doc["solutions"]) >= 1e-9
 
@@ -443,6 +445,35 @@ def test_unexpected_exception_exits_3(capsys, monkeypatch, exc):
     assert "Traceback" not in err
 
 
+def _with_fifth_bobenko_slack(monkeypatch):
+    real = cli.classify.inequality_slacks
+    monkeypatch.setattr(cli.classify, "inequality_slacks",
+                        lambda *a: [*real(*a), 0.0] if a[-1] == 0.5 else real(*a))
+
+
+def _with_extra_solution_key(monkeypatch):
+    real = cli.constellation.constellation_to_json
+    monkeypatch.setattr(cli.constellation, "constellation_to_json",
+                        lambda *a: {**real(*a), "extra": 1})
+
+
+@pytest.mark.parametrize("argv,fault,pointer", [
+    (["classify", "1", "1.2", "1.4"], _with_fifth_bobenko_slack,
+     "classify.schema.json: #/bobenko_slacks: ["),
+    (["constellation", "1.6", "1.6", "1.6"], _with_extra_solution_key,
+     "constellation.schema.json: #/solutions/0: {"),
+])
+def test_output_breaking_its_schema_exits_3(capsys, monkeypatch, tmp_path, argv, fault, pointer):
+    """A document that breaks its schema is a fault of the program: exit 3
+    with one line, and nothing on stdout or in the JSON file."""
+    fault(monkeypatch)
+    path = tmp_path / "out.json"
+    code, out, err = run(capsys, *argv, "--json", str(path))
+    assert (code, out) == (3, "")
+    assert err.startswith(f"internal error: SchemaViolation: {pointer}") and err.count("\n") == 1
+    assert not path.exists()
+
+
 class TestVerifyEnd:
     def make_data_file(self, tmp_path, **kwargs):
         pe = W.power_end_data(kwargs.pop("alpha", 0.5), **kwargs)
@@ -458,7 +489,7 @@ class TestVerifyEnd:
                            "--csv", str(csv))
         assert code == 0
         doc = json.loads(out)
-        validate_against_schema(doc, "verify_end.schema.json")
+        oracles.validate_against_schema(doc, "verify_end.schema.json")
         assert doc["pass"] is True
         assert max(doc["decay"]["sup_distance"]) < 1e-8
         assert csv.read_text().startswith("radius,sup_distance")

@@ -1,6 +1,8 @@
-"""cli.main builds its argparse parser once per process and each schema's
-validator once per schema name; the output is the same as building both
-anew on every call, which is what ``oracles.cli_main`` does."""
+"""cli.main builds its argparse parser once per process, compiles the
+checker of each output schema once per schema name and builds jsonschema's
+validator of the data schema once; the output is the same as building the
+parser anew and running a full ``jsonschema.validate`` on every call, which
+is what ``oracles.cli_main`` does."""
 
 import collections
 import contextlib
@@ -115,10 +117,20 @@ def test_parser_and_validators_built_once(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     prepare_all(tmp_path)
     cli._parser.cache_clear()
-    emit._validator.cache_clear()
+    cli._data_validator.cache_clear()
+    emit._checker.cache_clear()
     builds = []
     build_parser = cli.build_parser
     monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build_parser())
+    compiled = collections.Counter()
+    compile_node = emit._compile
+
+    def counting_compiles(node, root):
+        if node is root:
+            compiled[root["title"]] += 1
+        return compile_node(node, root)
+
+    monkeypatch.setattr(emit, "_compile", counting_compiles)
     checked = collections.Counter()
     for cls in {jsonschema.validators.validator_for(emit.load_schema(n)) for n in SCHEMAS}:
         def counting(schema, *args, check_schema=cls.check_schema, **kwargs):
@@ -152,8 +164,11 @@ def test_parser_and_validators_built_once(tmp_path, monkeypatch):
     assert len(argvs) == 20
     assert codes == [0, 1, 0, 0, 0, 0, 0, 0, 1, 0, 0, 2, 2, 0, 0, 0, 2, 2, 0, 2]
     assert len(builds) == 1
-    titles = {emit.load_schema(n)["title"] for n in SCHEMAS}
-    assert checked == {title: 1 for title in titles}
+    # the checker compiles each output schema once; jsonschema checks only
+    # the data schema, once, for verify-end's data files
+    titles = [emit.load_schema(n)["title"] for n in SCHEMAS]
+    assert compiled == {title: 1 for title in titles[:4]}
+    assert checked == {titles[4]: 1}
 
 
 REPLACED_THEN_RESTORED = """

@@ -1,6 +1,7 @@
-"""The program runs without scipy.
+"""The program runs without scipy, and only verify-end loads jsonschema.
 
-No command imports scipy.  weierstrass binds scipy's quad only when the
+No command imports scipy, and jsonschema is imported only to check
+verify-end's data file.  weierstrass binds scipy's quad only when the
 attribute ``quad`` is read, for the benchmark's tracer, which wraps it; with
 scipy missing the attribute is missing too.
 """
@@ -25,16 +26,19 @@ from trinoids import cli, weierstrass
 d = sys.argv[1]
 with open(d + "/end.json", "w") as fh:
     json.dump(weierstrass.data_to_json(weierstrass.power_end_data(0.5)), fh)
-codes = [cli.main(argv) for argv in (
+codes, jsonschema = [], []
+for argv in (
     ["classify", "1.6", "1.6", "1.6"],
     ["convert", "--from", "lambda", "0.75"],
     ["surface", "cousin", "0.75", "--nx", "9", "--ny", "9",
      "--obj", d + "/s.obj", "--csv", d + "/s.csv"],
     ["constellation", "1.6", "2.0", "2.2", "--json", d + "/c.json"],
     ["verify-end", d + "/end.json", "--json", d + "/v.json"],
-)]
+):
+    codes.append(cli.main(argv))
+    jsonschema.append(sorted(m for m in sys.modules if m.split(".")[0] == "jsonschema"))
 scipy = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-print(json.dumps({"codes": codes, "scipy": scipy}))
+print(json.dumps({"codes": codes, "scipy": scipy, "jsonschema": jsonschema}))
 """
 
 WITHOUT_SCIPY = """
@@ -62,6 +66,9 @@ def test_commands_leave_scipy_unimported(tmp_path):
     doc = json.loads(run(COMMANDS, str(tmp_path)))
     assert doc["codes"] == [0, 0, 0, 0, 0]
     assert doc["scipy"] == []
+    # only verify-end's data file is checked by jsonschema
+    assert doc["jsonschema"][:4] == [[], [], [], []]
+    assert "jsonschema" in doc["jsonschema"][4]
     for name in ("s.obj", "s.csv", "c.json", "v.json"):
         assert (tmp_path / name).stat().st_size > 0, name
 
