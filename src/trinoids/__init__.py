@@ -6,7 +6,7 @@ Modules by task:
 * classify      -- tetrahedron admissibility of angle triples
 * surfaces      -- closed-form surface evaluators and the half-space-to-ball map
 * weierstrass   -- numerical evaluation of immersions from (g, omega)
-* lines         -- oriented lines and their row kernels
+* lines         -- oriented lines, plain 3-vector helpers and row kernels
 * constellation -- the two line constellations of an admissible triple
 * asymptotics   -- conjugate-end sampling, helicoid fitting, decay checks
 * emit          -- deterministic OBJ, CSV and JSON writers

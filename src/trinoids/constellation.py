@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -33,16 +33,17 @@ from .classify import TripleTag, classify_triple
 from .lines import (
     NONFINITE_POINT,
     PARALLEL,
+    PARALLEL_TOL,
     ZERO_NORM,
     ZERO_VECTOR,
-    LinePairs,
     OrientedLine,
-    canonical_rows,
     cross3,
+    dot3,
     dot_rows,
     line_pairs,
     ruling_residual,
     scaled,
+    unit3,
 )
 from .params import (
     PitchConvention,
@@ -71,13 +72,13 @@ class ParallelBoundaryWarning(UserWarning):
 NOT_ROTATION = "rotation must be special orthogonal within 1e-12"
 
 
-def not_rotations(rotations: np.ndarray) -> List[bool]:
-    """Flags of the (k, 3, 3) matrices that HelicoidFrame refuses: those
-    not special orthogonal within 1e-12."""
-    columns = np.swapaxes(rotations, 1, 2).tolist()
-    det = dot_rows([cross3(c[0], c[1]) for c in columns], [c[2] for c in columns])
-    gram = (np.abs(np.swapaxes(rotations, 1, 2) @ rotations - np.eye(3)).max(axis=(1, 2))).tolist()
-    return [g > 1e-12 or abs(x - 1.0) > 1e-12 for g, x in zip(gram, det)]
+def not_rotation(columns) -> bool:
+    """True unless the 3x3 matrix with these columns (lists of floats) is
+    special orthogonal within 1e-12."""
+    c0, c1, c2 = columns
+    gram = max(abs(dot3(c0, c0) - 1.0), abs(dot3(c1, c1) - 1.0), abs(dot3(c2, c2) - 1.0),
+               abs(dot3(c0, c1)), abs(dot3(c0, c2)), abs(dot3(c1, c2)))
+    return gram > 1e-12 or abs(dot3(cross3(c0, c1), c2) - 1.0) > 1e-12
 
 
 @dataclass(frozen=True)
@@ -98,19 +99,10 @@ class HelicoidFrame:
         T = np.asarray(self.translation, dtype=float)
         if R.shape != (3, 3) or T.shape != (3,):
             raise ValueError("rotation must be 3x3 and translation a 3-vector")
-        if not_rotations(R[None])[0]:
+        if not_rotation(R.T.tolist()):
             raise ValueError(NOT_ROTATION)
         object.__setattr__(self, "rotation", R)
         object.__setattr__(self, "translation", T)
-
-    @classmethod
-    def checked(cls, lam: float, rotation: np.ndarray, translation: np.ndarray) -> "HelicoidFrame":
-        """The frame of a float rotation that not_rotations passed, stored as it is."""
-        frame = object.__new__(cls)
-        object.__setattr__(frame, "lam", lam)
-        object.__setattr__(frame, "rotation", rotation)
-        object.__setattr__(frame, "translation", translation)
-        return frame
 
 
 @dataclass(frozen=True)
@@ -167,15 +159,6 @@ def _screw_sign(phi: float) -> float:
     return math.copysign(1.0, s)
 
 
-# pair rows of the one pass: pair 1 is shared, pairs 2 and 3 come once per
-# solution; each row names its carried and image line (rows of the lines
-# l12, l31, l23+, l23-) and its end angle
-_PAIR_ROWS = ((0, 1, 2), (0, 3, 4))  # the pair rows of solution + and of solution -
-_CARRIED = [0, 2, 1, 3, 1]
-_IMAGE = [1, 0, 2, 0, 3]
-_ANGLE = [0, 1, 2, 1, 2]
-
-
 def solve_constellations(
     phi1: float,
     phi2: float,
@@ -188,20 +171,23 @@ def solve_constellations(
     Returns two constellations for a generically admissible triple, an empty
     list otherwise (with a ParallelBoundaryWarning in the boundary case).
     Gauge: l12 runs through the pair-1 perpendicular foot at the origin with
-    direction (1, 0, 0) and l31's direction lies in the xy-plane.  Each
-    frame is placed once, in closed form: the common perpendicular of its
-    two lines is the helicoid axis, and the frame sits at its foot on the
-    carried line (lines.line_pairs).
+    direction (1, 0, 0) and l31's direction lies in the xy-plane.  The two
+    solutions, l23's direction (ax, ay, +az) and (ax, ay, -az), are built
+    one after the other by _build, in plain floating-point arithmetic.
 
-    The two solutions, l23's direction (ax, ay, +az) and (ax, ay, -az), are
-    built and checked together in one pass over arrays; pair 1 (l12, l31,
-    f1) is the same in both and is computed once.  Each solution is checked
-    against its own residuals (ConstellationReport.ok) and carries that
-    report as ``self_check``; none is returned silently unchecked.  The
-    directions come from cosines of the reduced angles alone, so a triple
-    too close to the boundary for double precision raises ValueError: the
-    direction solve degenerates, or its angles miss pi - r_i by
-    RESIDUAL_TOL or more.  Any other failed check raises
+    Accuracy contract: every returned coordinate lies within a documented
+    first-order rounding bound of the same construction carried out at 50
+    digits (mp_constellation in tests/oracles.py).  The bound grows with
+    1/az, 1/sin r1, 1/|denom| of the position solve, 1/sin r_i of a nearly
+    antiparallel pair and the size s of the feet.
+
+    Each solution is checked against its own residuals
+    (ConstellationReport.ok), both in one batched _self_check call, and
+    carries that report as ``self_check``; none is returned silently
+    unchecked.  The directions come from cosines of the reduced angles
+    alone, so a triple too close to the boundary for double precision
+    raises ValueError: the direction solve degenerates, or its angles miss
+    pi - r_i by RESIDUAL_TOL or more.  Any other failed check raises
     ConstellationSolveError.  Solution + is built and checked before
     solution -: the first refusal in that order is the one raised.
     """
@@ -219,7 +205,6 @@ def solve_constellations(
     phis = (phi1, phi2, phi3)
     r = outcome.reduced
     s = tuple(math.pi - ri for ri in r)
-    lams = tuple(lambda_of_phi(p) for p in phis)
 
     # Direction triple: spherical triangle with side s1 between u12 and u31,
     # s2 between u23 and u12, s3 between u31 and u23.
@@ -232,101 +217,18 @@ def solve_constellations(
             f"direction solve degenerate (az^2 = {az2}); triple too close to the boundary"
         )
     az = math.sqrt(az2)
-    return _mirror_solutions(phis, r, lams, u31, ax, ay, az, convention)
 
-
-def _mirror_solutions(phis, r, lams, u31, ax, ay, az, convention) -> List[Constellation]:
-    """Both solutions of solve_constellations, built and self-checked at once.
-
-    Every row gets the bits that building each solution on its own gives
-    (see trinoids.lines).  Nothing raises while the rows are computed: each
-    refusal is flagged, and the first one is raised in the order of building
-    solution +, checking it, then building and checking solution -.
-    """
-    chi = [_screw_sign(p) for p in phis]
-    pitch = [pitch_coefficient(lam, convention) for lam in lams]
-    c = [chi[i] * pitch[i] * phis[i] for i in range(3)]
-    u12 = [1.0, 0.0, 0.0]
-    u23 = [[ax, ay, az], [ax, ay, -az]]
-
-    # plane normals n1, n2+, n2-, n3+, n3-
-    raw = [cross3(u12, u31)] + [cross3(u, u12) for u in u23] + [cross3(u31, u) for u in u23]
-    norms = [math.sqrt(x) for x in dot_rows(raw, raw)]
-    n1, n2p, n2m, n3p, n3m = [scaled(v, norm) for v, norm in zip(raw, norms)]
-    n2, n3 = [n2p, n2m], [n3p, n3m]
-
-    # Positions: p12 = 0 (gauge), pair-1 offset places l31, pairs 2 and 3
-    # pin l23 through a 2x2 solve in the plane perpendicular to u23.
-    p31 = [c[0] * x for x in n1]
-    e2raw = [cross3(u, n) for u, n in zip(u23, n2)]
-    sq = dot_rows(e2raw + n2 + [p31, p31], e2raw + n3 + n3)
-    e2_norms = [math.sqrt(x) for x in sq[:2]]
-    e2 = [scaled(v, norm) for v, norm in zip(e2raw, e2_norms)]
-    denom = dot_rows(e2, n3)
-    coplanar = [abs(x) < 1e-12 for x in denom]
-    x = -c[1]
-    p23 = []
-    for j in range(2):
-        y = math.nan if coplanar[j] else (c[2] + sq[4 + j] - x * sq[2 + j]) / denom[j]
-        p23.append([x * a + y * b for a, b in zip(n2[j], e2[j])])
-
-    # lines l12, l31, l23+, l23-
-    points, dirs, zero_dir, nonfinite = canonical_rows([[0.0, 0.0, 0.0], p31] + p23,
-                                                       [u12, u31] + u23)
-
-    # Frames in closed form: the common perpendicular of a pair is the
-    # helicoid axis, with direction e = -chi * unit(u_a x u_b), chi =
-    # sign(sin phi); the carried line a becomes the ruling at y = 0 and the
-    # image line b the reversed ruling at y = phi.  Each frame sits at the
-    # foot of the common perpendicular on a.
-    pa, ua = [points[i] for i in _CARRIED], [dirs[i] for i in _CARRIED]
-    pb, ub = [points[i] for i in _IMAGE], [dirs[i] for i in _IMAGE]
-    pairs = line_pairs(pa, ua, pb, ub)
-    n_norms = [math.sqrt(x) for x in pairs.nn]
-    rotations = []
-    for k, i in enumerate(_ANGLE):
-        e = [-chi[i] * x for x in scaled(pairs.n[k], n_norms[k])]
-        sigma = math.copysign(1.0, lams[i])
-        col0 = [-sigma * x for x in cross3(ua[k], e)]
-        col1 = [-sigma * x for x in ua[k]]
-        rotations.append([[col0[m], col1[m], e[m]] for m in range(3)])
-    rotations = np.array(rotations)
-    bad_frame = not_rotations(rotations)
-
-    def refusal(j: int) -> Optional[Exception]:
-        """The first refusal met in building solution j, or None."""
-        if min(norms[0], norms[1 + j], norms[3 + j], e2_norms[j]) < ZERO_NORM:
-            return ValueError(ZERO_VECTOR)
-        if coplanar[j]:
-            return ConstellationSolveError("coplanar direction triple; position solve singular")
-        for line in (0, 2 + j, 1):
-            if zero_dir[line]:
-                return ValueError(ZERO_VECTOR)
-            if nonfinite[line]:
-                return ValueError(NONFINITE_POINT)
-        for k in _PAIR_ROWS[j]:
-            if pairs.parallel[k]:
-                return ValueError(PARALLEL)
-            if n_norms[k] < ZERO_NORM:
-                return ValueError(ZERO_VECTOR)
-            if bad_frame[k]:
-                return ValueError(NOT_ROTATION)
-        return None
-
-    refused = [refusal(0), refusal(1)]
-    if refused[0] is not None:
-        raise refused[0]
-    # a refused solution - is raised only after solution + passed its check,
-    # and its rows are not checked
-    to_check = _PAIR_ROWS[:1] if refused[1] is not None else _PAIR_ROWS
-    k = 3 if refused[1] is not None else 5
-    reports = _self_check(
-        [p[:k] for p in (pa, ua, pb, ub)], pairs, rotations[:k], pairs.qa[:k],
-        [pitch[i] for i in _ANGLE[:k]], [math.pi - r[i] for i in _ANGLE[:k]],
-        [ray_distance_h(phis[i], convention) for i in _ANGLE[:k]], to_check)
-
+    built, refused = [], None
+    for sign in (1.0, -1.0):
+        try:
+            built.append(_build(phis, u31, [ax, ay, sign * az], convention))
+        except (ValueError, ConstellationSolveError) as exc:
+            if not built:
+                raise
+            # raised only after solution + passed its check
+            refused = exc
     solutions = []
-    for j, (report, pair_rows) in enumerate(zip(reports, to_check)):
+    for c, report in zip(built, _self_check(built, phis)):
         for i, res in enumerate(report.angle):
             if not res < RESIDUAL_TOL:
                 raise ValueError(
@@ -338,40 +240,98 @@ def _mirror_solutions(phis, r, lams, u31, ax, ay, az, convention) -> List[Conste
             raise ConstellationSolveError(
                 f"solution failed self-check: max residual {report.max_residual:.3e}"
             )
-        lines = [OrientedLine.canonical(points[m], dirs[m]) for m in (0, 2 + j, 1)]
-        frames = [HelicoidFrame.checked(lams[i], rotations[m].copy(), np.array(pairs.qa[m]))
-                  for i, m in enumerate(pair_rows)]
-        solutions.append(Constellation(*lines, *frames, convention, self_check=report))
-    if refused[1] is not None:
-        raise refused[1]
+        solutions.append(replace(c, self_check=report))
+    if refused is not None:
+        raise refused
     return solutions
 
 
-def _self_check(lines, pairs: LinePairs, rotations, translations, pitches, targets, heights,
-                solutions) -> List[ConstellationReport]:
-    """Self-check reports of constellations given as rows of line pairs.
+def _build(phis, u31, u23, convention) -> Constellation:
+    """The solution of solve_constellations with l23 along u23.
 
-    lines holds the rows (pa, ua, pb, ub) of the carried and image lines,
-    both canonical, and pairs their line_pairs.  Row k's frame is
-    (rotations[k], translations[k]), with signed pitch pitches[k]; its
-    lines should subtend targets[k] = pi - r_i at distance heights[k] = h_i.
-    Each solution is a triple of rows, pairs 1 to 3; its report has the
-    containment of both lines in the framed helicoid, |angle - target| and
-    |distance - h| per pair, and the largest |coordinate| of its line
+    Positions: l12 runs through the origin, the pair-1 offset places l31
+    and pairs 2 and 3 pin l23 through a 2x2 solve in the plane
+    perpendicular to u23.  The gauge gives every line point perpendicular
+    to its direction, and unit directions, to rounding, so each line is
+    stored as built.  Raises the first refusal met in building it.
+    """
+    lams = [lambda_of_phi(p) for p in phis]
+    c = [_screw_sign(p) * pitch_coefficient(lam, convention) * p for p, lam in zip(phis, lams)]
+    u12 = [1.0, 0.0, 0.0]
+    n1, n2, n3 = unit3(cross3(u12, u31)), unit3(cross3(u23, u12)), unit3(cross3(u31, u23))
+    e2 = unit3(cross3(u23, n2))
+    denom = dot3(e2, n3)
+    if abs(denom) < 1e-12:
+        raise ConstellationSolveError("coplanar direction triple; position solve singular")
+    p31 = [c[0] * v for v in n1]
+    x = -c[1]
+    y = (c[2] + dot3(p31, n3) - x * dot3(n2, n3)) / denom
+    p23 = [x * a + y * b for a, b in zip(n2, e2)]
+    points = ([0.0, 0.0, 0.0], p23, p31)
+    if not all(math.isfinite(v) for p in points for v in p):
+        raise ValueError(NONFINITE_POINT)
+    l12, l23, l31 = zip(points, (u12, u23, u31))
+    frames = [_frame(a, b, lam, phi)
+              for (a, b), lam, phi in zip(((l12, l31), (l23, l12), (l31, l23)), lams, phis)]
+    return Constellation(*(OrientedLine.canonical(p, u) for p, u in (l12, l23, l31)), *frames,
+                         convention)
+
+
+def _frame(a, b, lam: float, phi: float) -> HelicoidFrame:
+    """The helicoid frame of a pair of lines (point, unit direction).
+
+    The common perpendicular of the pair is the helicoid axis, with
+    direction e = -chi * unit(u_a x u_b), chi = sign(sin phi); the carried
+    line a becomes the ruling at y = 0 and the image line b the reversed
+    ruling at y = phi.  The frame sits at the foot of the common
+    perpendicular on a, at parameter (d x u_b) . n / |n|^2 along a, with
+    n = u_a x u_b and d = p_b - p_a.
+    """
+    (pa, ua), (pb, ub) = a, b
+    n = cross3(ua, ub)
+    nn = dot3(n, n)
+    if nn < PARALLEL_TOL**2:
+        raise ValueError(PARALLEL)
+    t = dot3(cross3([y - x for x, y in zip(pa, pb)], ub), n) / nn
+    chi, norm = _screw_sign(phi), math.sqrt(nn)
+    e = [-chi * v / norm for v in n]
+    sigma = math.copysign(1.0, lam)
+    col0, col1 = [-sigma * v for v in cross3(ua, e)], [-sigma * v for v in ua]
+    return HelicoidFrame(lam, np.array([[col0[m], col1[m], e[m]] for m in range(3)]),
+                         np.array([x + t * v for x, v in zip(pa, ua)]))
+
+
+def _self_check(constellations, phis) -> List[ConstellationReport]:
+    """Self-check reports of constellations for one angle triple.
+
+    The pairs of all constellations go through one line_pairs call and one
+    ruling_residual call.  Each report has the containment of both lines
+    of each pair in its framed helicoid, |angle - (pi - r_i)| and
+    |distance - h_i| per pair, and the largest |coordinate| of the line
     points and frame translations.
     """
-    pa, ua, pb, ub = lines
+    pairs = [pair for c in constellations for pair in c.pairs()]
+    pa, ua, pb, ub = [[line.tolist() for line in column] for column in zip(*(
+        (a.point, a.direction, b.point, b.direction) for a, b, _ in pairs))]
+    geometry = line_pairs(pa, ua, pb, ub)
+    frames = [f for _, _, f in pairs]
+    translations = [f.translation.tolist() for f in frames]
+    convention = constellations[0].convention
+    pitches = [pitch_coefficient(f.lam, convention) for f in frames]
     containment = ruling_residual(
-        np.repeat(rotations, 2, axis=0), [t for t in translations for _ in (0, 1)],
-        [x for x in pitches for _ in (0, 1)], [p for pair in zip(pa, pb) for p in pair],
-        [u for pair in zip(ua, ub) for u in pair])
+        np.repeat(np.array([f.rotation for f in frames]), 2, axis=0),
+        [t for t in translations for _ in (0, 1)], [x for x in pitches for _ in (0, 1)],
+        [p for pair in zip(pa, pb) for p in pair], [u for pair in zip(ua, ub) for u in pair])
+    targets = [math.pi - reduced_angle(phi) for phi in phis]
+    heights = [ray_distance_h(phi, convention) for phi in phis]
     reports = []
-    for rows in solutions:
+    for k in range(0, len(pairs), 3):
+        rows = range(k, k + 3)
         coords = [pa[i] for i in rows] + [translations[i] for i in rows]
         reports.append(ConstellationReport(
             tuple(containment[2 * i + m] for i in rows for m in (0, 1)),
-            tuple(abs(pairs.angle[i] - targets[i]) for i in rows),
-            tuple(abs(pairs.distance[i] - heights[i]) for i in rows),
+            tuple(abs(geometry.angle[i] - targets[i - k]) for i in rows),
+            tuple(abs(geometry.distance[i] - heights[i - k]) for i in rows),
             max(abs(x) for v in coords for x in v)))
     return reports
 
@@ -384,18 +344,7 @@ def verify_constellation(c: Constellation, phis) -> ConstellationReport:
     line distance against ray_distance_h(phi_i, convention); and the scale
     of the coordinates, which ConstellationReport.ok applies.
     """
-    phis = tuple(float(p) for p in phis)
-    pitches, targets, heights = [], [], []
-    for phi, (_, _, frame) in zip(phis, c.pairs()):
-        pitches.append(pitch_coefficient(frame.lam, c.convention))
-        targets.append(math.pi - reduced_angle(phi))
-        heights.append(ray_distance_h(phi, c.convention))
-    lines = [[line.tolist() for line in column] for column in zip(*(
-        (a.point, a.direction, b.point, b.direction) for a, b, _ in c.pairs()))]
-    frames = [f for _, _, f in c.pairs()]
-    return _self_check(lines, line_pairs(*lines), np.array([f.rotation for f in frames]),
-                       [f.translation.tolist() for f in frames], pitches, targets, heights,
-                       [(0, 1, 2)])[0]
+    return _self_check([c], tuple(float(p) for p in phis))[0]
 
 
 def _invariant_set(lines) -> Tuple[np.ndarray, np.ndarray, float]:

@@ -1,14 +1,16 @@
 """Oriented lines in R^3 and the small amount of line geometry used here.
 
-The array functions take one row per item: (k, 3) arrays, or lists of
-k rows of three floats.  Each row gets the bits of numpy's expression for a
-single vector; a single vector or pair of lines is a one-row call, so
-each formula has one implementation.  The arithmetic runs on Python
-floats, as in ``cross3``, and every dot product and norm of one
-dependency level is one BLAS dot per row, taken for all rows by a single
-batched (k, 1, 3) @ (k, 3, 1) matmul (``dot_rows``).  That matmul, not an
-explicit sum of products, carries the bits of ``a @ b``: numpy's 3-vector
-dot fuses multiplies and adds.
+Two kinds of kernels.  The plain 3-vector helpers ``cross3``, ``dot3``
+and ``unit3`` work on Python floats; the constellation solver builds with
+them.  The row kernels (``dot_rows``, ``canonical_rows``, ``line_pairs``,
+``ruling_residual``) take one row per item: (k, 3) arrays, or lists of k
+rows of three floats.  They keep the bits of numpy's expression for a
+single vector, which ``asymptotics`` relies on, and serve the solver's
+self-check, which shares them with ``asymptotics``: every dot product and
+norm of one dependency level is one BLAS dot per row, taken for all rows
+by a single batched (k, 1, 3) @ (k, 3, 1) matmul (``dot_rows``).  That
+matmul, not an explicit sum of products, carries the bits of ``a @ b``:
+numpy's 3-vector dot fuses multiplies and adds.
 """
 
 from __future__ import annotations
@@ -44,6 +46,20 @@ def cross3(a: Sequence[float], b: Sequence[float]) -> List[float]:
     a0, a1, a2 = a
     b0, b1, b2 = b
     return [a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0]
+
+
+def dot3(a: Sequence[float], b: Sequence[float]) -> float:
+    """Dot product of two 3-vectors of Python floats, summed left to right."""
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def unit3(v: Sequence[float]) -> List[float]:
+    """v / |v| for a 3-vector of Python floats; ValueError if |v| is below
+    ZERO_NORM, where a vector has no direction."""
+    norm = math.sqrt(dot3(v, v))
+    if norm < ZERO_NORM:
+        raise ValueError(ZERO_VECTOR)
+    return [x / norm for x in v]
 
 
 def rows(x) -> Rows:
@@ -111,7 +127,8 @@ class OrientedLine:
 
     @classmethod
     def canonical(cls, point: Sequence[float], direction: Sequence[float]) -> "OrientedLine":
-        """The line of a row of canonical_rows that it did not flag."""
+        """A line whose point and direction are already in canonical form
+        to rounding, stored as given."""
         line = object.__new__(cls)
         object.__setattr__(line, "point", np.array(point))
         object.__setattr__(line, "direction", np.array(direction))

@@ -115,6 +115,21 @@ def cousin_period(lam: float) -> float:
     return 2.0 * math.pi / math.sqrt(1.0 + 4.0 * lam)
 
 
+def _about_ball_center(p):
+    """u, v, w and w + 1 of points P with w > 0, all times s = 2^-e, with e
+    the exponent of the largest component of P - c for the inversion
+    center c = (0, 0, -1); the scaled |P - c|^2; and s.  No scaled square
+    overflows, and where nothing overflows or underflows a power of two
+    commutes with rounding, so halfspace_to_ball and the ball-normal
+    reflection keep their bits."""
+    u, v, w = p[..., 0], p[..., 1], p[..., 2]
+    z = w + 1.0
+    _, e = np.frexp(np.maximum(np.maximum(np.abs(u), np.abs(v)), z))
+    s = np.ldexp(1.0, -e)
+    u, v, w, z = u * s, v * s, w * s, z * s
+    return u, v, w, z, u * u + v * v + z * z, s
+
+
 def halfspace_to_ball(p) -> np.ndarray:
     """Isometry from the upper half-space model to the Poincare ball model.
 
@@ -124,14 +139,15 @@ def halfspace_to_ball(p) -> np.ndarray:
 
         (u, v, w) -> (2u/d, -(u^2+v^2+w^2-1)/d, 2v/d)
 
-    Accepts shape (3,) or (..., 3).  Raises on w <= 0.
+    evaluated from the scaled coordinates of _about_ball_center, so no
+    square overflows.  Accepts shape (3,) or (..., 3).  Raises on w <= 0.
     """
     p = np.asarray(p, dtype=float)
-    u, v, w = p[..., 0], p[..., 1], p[..., 2]
-    if np.any(w <= 0.0):
+    if np.any(p[..., 2] <= 0.0):
         raise ValueError("half-space point needs w > 0")
-    d = u * u + v * v + (w + 1.0) ** 2
-    return np.stack([2.0 * u / d, -(u * u + v * v + w * w - 1.0) / d, 2.0 * v / d], axis=-1)
+    u, v, w, _, d, s = _about_ball_center(p)
+    return np.stack([2.0 * u / d * s, -(u * u + v * v + w * w - s * s) / d, 2.0 * v / d * s],
+                    axis=-1)
 
 
 def gauss_normal_from_g(g) -> np.ndarray:
@@ -224,8 +240,9 @@ def surface_grid(kind: str, lam: float, xs, ys, ball_model: bool = False) -> Sur
             g = np.exp(X + 1j * Y)
         normals = gauss_normal_from_g(g)
         if ball_model:
-            pc = positions + (0.0, 0.0, 1.0)
-            k = 2.0 * np.sum(pc * normals, axis=-1) / np.sum(pc * pc, axis=-1)
+            u, v, _, z, d, _ = _about_ball_center(positions)
+            pc = np.stack([u, v, z], axis=-1)
+            k = 2.0 * np.sum(pc * normals, axis=-1) / d
             normals = (normals - k[..., None] * pc)[..., [0, 2, 1]]
             positions = halfspace_to_ball(positions)
     grid = SurfaceGrid(

@@ -255,15 +255,17 @@ def _antiderivative(data: WeierstrassData, z: np.ndarray):
         for q, terms in powers:
             w = q * log_z
             e = np.exp(w)
+            weight, exponent = _EPS * (2.0 + abs(q) * abs_log), 0.0
             if abs(q) < _EXPM1_BELOW:  # exp(w) - 1 without cancellation near w = 0
+                # the exponent's rounding scales |b e^w|, not |t| = |b (e^w - 1)|
+                weight, exponent = 2.0 * _EPS, _EPS * abs(q) * abs_log * np.abs(e)
                 half_sin = np.sin(0.5 * w.imag)
                 e = np.expm1(w.real) * np.cos(w.imag) - 2.0 * half_sin * half_sin + 1j * e.imag
             overflows |= ~np.isfinite(e)
-            weight = _EPS * (2.0 + abs(q) * abs_log)
             for i, coef in terms:
                 t = coef * e
                 re[i] += t.real
-                budgets[i] += weight * np.abs(t)
+                budgets[i] += weight * np.abs(t) + abs(coef) * exponent
     return re, budgets, overflows
 
 
@@ -280,11 +282,14 @@ def integrate(
     eps |t| (2 + |q| |log z|).  log z and the product q log z each perturb
     w by eps/2 |w|, which exp turns into a relative error of t; exp, the
     product with b, the sum over the terms and the difference of the
-    endpoints add eps/2 each.  A log term c log z costs 2 eps |c| |log z|
-    (the log, the product, the sum and the difference), and a term of the
-    exponential data, whose exponent z is exact, 2 eps |t|.  A target's
-    budget, the largest over the three components of the costs of their
-    terms at both endpoints, must not exceed tol.  Otherwise QuadratureError
+    endpoints add eps/2 each.  In the expm1 form, t = b (exp(w) - 1), the
+    perturbed exponent moves exp(w) itself, so that part costs
+    eps |b exp(w)| |q| |log z|, and the rest 2 eps |t|.  A log term c log z
+    costs 2 eps |c| |log z| (the log, the product, the sum and the
+    difference), and a term of the exponential data, whose exponent z is
+    exact, 2 eps |t|.  A target's budget, the largest over the three
+    components of the costs of their terms at both endpoints, must not
+    exceed tol.  Otherwise QuadratureError
     carries the largest budget over all targets, the least tol that passes;
     where F overflows, which no tol mends, it names the first such endpoint
     and carries inf instead.  ValueError for a tol outside (0, inf), a

@@ -33,11 +33,12 @@ These deliberately avoid the code paths they check:
   catenoid normal is written out as (cos y sech x, sin y sech x, tanh x);
 * the helicoid distance oracle loops over points one at a time, and the
   frozen array version allocates every step of its scan anew;
-* the constellation oracles take every cross product with np.cross and
-  check frames in exact rational arithmetic;
-* the sequential constellation solver builds and checks one solution after
-  the other through the scalar line kernels, where the program builds both
-  in one pass over rows;
+* the constellation oracle carries out the solver's gauge construction in
+  50-digit mpmath with its own vector helpers, with a first-order bound
+  on each returned coordinate; frames are also checked in exact rational
+  arithmetic, and the benchmark's absolute residual is derived again;
+* the scalar line kernels take one line, pair or frame at a time through
+  numpy's single-vector expressions, where the program takes rows;
 * the command-line oracle builds its parser and checks each schema anew on
   every call.
 """
@@ -48,7 +49,7 @@ import math
 import sys
 import warnings
 import weakref
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from enum import Enum
 from fractions import Fraction
 from typing import Callable, Optional
@@ -56,22 +57,15 @@ from typing import Callable, Optional
 import jsonschema
 import mpmath
 import numpy as np
+from mpmath.libmp import from_float, mpf_sub, to_float
 from scipy.integrate import IntegrationWarning, quad
 
 from trinoids import cli, emit, params
 from trinoids.asymptotics import FIT_RESIDUAL_TOL
 from trinoids.classify import Membership, TripleTag
-from trinoids.classify import classify_triple as trinoids_classify_triple
-from trinoids.constellation import (
-    Constellation,
-    ConstellationReport,
-    ConstellationSolveError,
-    HelicoidFrame,
-    ParallelBoundaryWarning,
-    _screw_sign,
-)
-from trinoids.lines import PARALLEL_TOL, OrientedLine
-from trinoids.params import PitchConvention, lambda_of_phi, pitch_coefficient, ray_distance_h
+from trinoids.constellation import ConstellationReport, ConstellationSolveError
+from trinoids.lines import PARALLEL_TOL
+from trinoids.params import PitchConvention, pitch_coefficient, ray_distance_h
 from trinoids.surfaces import Model
 from trinoids.weierstrass import (
     _EPS,
@@ -290,7 +284,7 @@ def _mp_antiderivative(data):
 
     log_coefs, powers = _power_terms(data)
     log_coefs = [mpmath.mpc(lc) for lc in log_coefs]
-    powers = [(q, [(i, mpmath.mpc(coef)) for i, coef in terms]) for q, terms in powers]
+    powers = [(q, [(i, mpmath.mpc(coef), abs(coef)) for i, coef in terms]) for q, terms in powers]
 
     def power_end(z: complex):
         log_z = _mp_branch_log(z)
@@ -299,11 +293,12 @@ def _mp_antiderivative(data):
         costs = [2 * _EPS * abs(complex(v)) for v in values]
         for q, terms in powers:
             e = _mp_power(z, q)
-            weight = _EPS * (2 + abs(q) * abs_log)
-            for i, coef in terms:
+            # the exponent's rounding scales |b e^w|: in the expm1 form |b| |e + 1|
+            exponent = abs(q) * abs_log * abs(complex(e + 1 if abs(q) < _EXPM1_BELOW else e))
+            for i, coef, size in terms:
                 t = coef * e
                 values[i] += t
-                costs[i] += weight * abs(complex(t))
+                costs[i] += _EPS * (2 * abs(complex(t)) + size * exponent)
         return [v.real for v in values], costs
 
     return power_end
@@ -1202,15 +1197,9 @@ def array_helicoid_distances(frame, points):
 
 
 # ---------------------------------------------------------------------------
-# Original constellation solver: every cross product of two 3-vectors taken
-# with np.cross, and each frame placed once at the perpendicular foot of the
-# textbook formula, whose denominator is 1 - (u_a . u_b)^2.  trinoids.lines.cross
-# replaces np.cross in the program and must give exactly the same bits, so
-# every line, rotation, lambda and invariant built from these functions must
-# match the program's bit for bit.  The program's foot divides by |u_a x u_b|^2
-# instead, so the frame translations agree only to rounding.  The original's
-# self-check is absolute (max_residual < residual_tol); the program scales its
-# containment and distance parts with the coordinates.
+# Constellation checks: line angles with np.cross, rotations by Rodrigues'
+# formula, the solver's frame conditions in exact rational arithmetic, and
+# the benchmark's absolute residual derived again.
 
 
 def angle_between(u, v) -> float:
@@ -1224,155 +1213,6 @@ def rotation_about(axis, angle: float) -> np.ndarray:
     k = seq_unit(axis)
     K = np.array([[0, -k[2], k[1]], [k[2], 0, -k[0]], [-k[1], k[0], 0]])
     return np.eye(3) + math.sin(angle) * K + (1.0 - math.cos(angle)) * (K @ K)
-
-
-def line_distance(a, b) -> float:
-    n = np.cross(a.direction, b.direction)
-    norm = np.linalg.norm(n)
-    d = b.point - a.point
-    if norm < 1e-12:
-        return float(np.linalg.norm(d - (d @ a.direction) * a.direction))
-    return abs(float(d @ n)) / norm
-
-
-def signed_gap(a, b) -> float:
-    n = seq_unit(np.cross(a.direction, b.direction))
-    return float((b.point - a.point) @ n)
-
-
-def ruling_residual(rotation, translation, pitch: float, line) -> float:
-    d = rotation.T @ line.direction
-    p = rotation.T @ (line.point - translation)
-    res_horizontal = abs(d[2])
-    dh = math.hypot(d[0], d[1])
-    if dh < 1e-12:
-        return 1.0
-    n = np.cross(d, np.array([0.0, 0.0, 1.0]))
-    res_axis = abs(float(p @ n)) / np.linalg.norm(n)
-    t_star = -(p[0] * d[0] + p[1] * d[1]) / (dh * dh)
-    z_star = p[2] + t_star * d[2]
-    y_star = -z_star / pitch
-    res_twist = abs(d[0] * math.cos(y_star) + d[1] * math.sin(y_star)) / dh
-    return max(res_horizontal, res_axis, res_twist)
-
-
-def common_perpendicular_foot(a, b):
-    """Foot on a of the common perpendicular of two non-parallel lines."""
-    d = b.point - a.point
-    ua, ub = a.direction, b.direction
-    c = float(ua @ ub)
-    denom = 1.0 - c * c
-    if denom < PARALLEL_TOL**2:
-        raise ValueError("lines are (nearly) parallel; no unique common perpendicular")
-    ta = (float(d @ ua) - c * float(d @ ub)) / denom
-    return a.point + ta * ua
-
-
-def _pair_frame(a, b, lam: float, phi: float, convention):
-    qa = common_perpendicular_foot(a, b)
-    n_hat = seq_unit(np.cross(a.direction, b.direction))
-    e = -_screw_sign(phi) * n_hat
-    sigma = math.copysign(1.0, lam)
-    col0 = -sigma * np.cross(a.direction, e)
-    col1 = -sigma * a.direction
-    R = np.column_stack([col0, col1, e])
-    return HelicoidFrame(lam, R, qa)
-
-
-def _assemble(phis, lams, u12, u23, u31, convention):
-    chi = tuple(_screw_sign(p) for p in phis)
-    pitch = tuple(pitch_coefficient(lam, convention) for lam in lams)
-    c = tuple(chi[i] * pitch[i] * phis[i] for i in range(3))
-
-    n1 = seq_unit(np.cross(u12, u31))
-    n2 = seq_unit(np.cross(u23, u12))
-    n3 = seq_unit(np.cross(u31, u23))
-
-    p12 = np.zeros(3)
-    p31 = c[0] * n1
-    e2 = seq_unit(np.cross(u23, n2))
-    denom = float(e2 @ n3)
-    if abs(denom) < 1e-12:
-        raise ConstellationSolveError("coplanar direction triple; position solve singular")
-    x = -c[1]
-    y = (c[2] + float(p31 @ n3) - x * float(n2 @ n3)) / denom
-    p23 = x * n2 + y * e2
-
-    l12 = OrientedLine(p12, u12)
-    l23 = OrientedLine(p23, u23)
-    l31 = OrientedLine(p31, u31)
-    f1 = _pair_frame(l12, l31, lams[0], phis[0], convention)
-    f2 = _pair_frame(l23, l12, lams[1], phis[1], convention)
-    f3 = _pair_frame(l31, l23, lams[2], phis[2], convention)
-    return Constellation(l12, l23, l31, f1, f2, f3, convention)
-
-
-def verify_constellation(c, phis):
-    phis = tuple(float(p) for p in phis)
-    containment, angles, distances = [], [], []
-    for i, (a, b, frame) in enumerate(c.pairs()):
-        pitch = pitch_coefficient(frame.lam, c.convention)
-        containment.append(ruling_residual(frame.rotation, frame.translation, pitch, a))
-        containment.append(ruling_residual(frame.rotation, frame.translation, pitch, b))
-        r_i = params.reduced_angle(phis[i])
-        angles.append(abs(angle_between(a.direction, b.direction) - (math.pi - r_i)))
-        h_i = ray_distance_h(phis[i], c.convention)
-        distances.append(abs(line_distance(a, b) - h_i))
-    coords = np.concatenate([line.point for line in c.lines()]
-                            + [frame.translation for _, _, frame in c.pairs()])
-    return ConstellationReport(tuple(containment), tuple(angles), tuple(distances),
-                               float(np.max(np.abs(coords))))
-
-
-def solve_constellations(phi1, phi2, phi3, convention=PitchConvention.HALF_GAP,
-                         eps_face: float = 1e-12, residual_tol: float = 1e-9):
-    outcome = trinoids_classify_triple(phi1, phi2, phi3, eps_face=eps_face)
-    if outcome.tag is TripleTag.PARALLEL_BOUNDARY:
-        warnings.warn(
-            "reduced triple lies on the tetrahedron boundary (parallel "
-            "constellations); no generic solution exists",
-            ParallelBoundaryWarning,
-        )
-        return []
-    if outcome.tag is not TripleTag.GENERIC_ADMISSIBLE:
-        return []
-
-    phis = (phi1, phi2, phi3)
-    r = outcome.reduced
-    s = tuple(math.pi - ri for ri in r)
-    lams = tuple(lambda_of_phi(p) for p in phis)
-    u12 = np.array([1.0, 0.0, 0.0])
-    u31 = np.array([math.cos(s[0]), math.sin(s[0]), 0.0])
-    ax = math.cos(s[1])
-    ay = (math.cos(s[2]) - math.cos(s[0]) * math.cos(s[1])) / math.sin(s[0])
-    az2 = 1.0 - ax * ax - ay * ay
-    if az2 <= 0.0:
-        raise ConstellationSolveError(
-            f"direction solve degenerate (az^2 = {az2}); triple too close to the boundary"
-        )
-    az = math.sqrt(az2)
-
-    solutions = []
-    for sign in (1.0, -1.0):
-        u23 = np.array([ax, ay, sign * az])
-        sol = _assemble(phis, lams, u12, u23, u31, convention)
-        report = verify_constellation(sol, phis)
-        if not report.max_residual < residual_tol:
-            raise ConstellationSolveError(
-                f"solution failed self-check: max residual {report.max_residual:.3e}"
-            )
-        solutions.append(sol)
-    return solutions
-
-
-def invariant_set(lines):
-    """The original constellation._invariant_set on the np.cross angle and gap."""
-    l12, l23, l31 = lines
-    pairs = ((l12, l31), (l23, l12), (l31, l23))
-    angles = np.array([angle_between(a.direction, b.direction) for a, b in pairs])
-    gaps = np.array([signed_gap(a, b) for a, b in pairs])
-    triple = float(np.linalg.det(np.column_stack([l12.direction, l23.direction, l31.direction])))
-    return angles, gaps, math.copysign(1.0, triple)
 
 
 def exact_frame_residual(c, phis) -> float:
@@ -1425,13 +1265,243 @@ def exact_frame_residual(c, phis) -> float:
     return float(worst) / max(1.0, s)
 
 
+# the absolute bound of bench/checks.py on axis_residual
+AXIS_RESIDUAL_TOL = 1e-9
+
+
+def axis_residual(sol, phis) -> float:
+    """The benchmark's absolute constellation residual, derived again.
+
+    Per pair (carried line a, image line b, frame R, T): the frame's lambda
+    against lambda(phi) = (pi^2/phi^2 - 1)/4, relative to max(1, |lambda|);
+    for each line, in frame coordinates (R^T (x - T)), the vertical part of
+    its direction, and at the point M where it passes the frame axis
+    closest, the distance |M_xy| and the mismatch of its horizontal
+    direction with the ruling (sin y, -cos y) at y = -M_z / pitch; the
+    angle of the directions against pi - r(phi); and the line distance
+    against |pitch| phi.  pitch is lambda, doubled under RULING_GAP.  Every
+    term is evaluated at the axis, so its rounding does not grow with the
+    distance of a line's stored point from the axis.
+    """
+    factor = 2.0 if sol.convention is PitchConvention.RULING_GAP else 1.0
+    worst = 0.0
+    for phi, (a, b, frame) in zip(phis, sol.pairs()):
+        phi = float(phi)
+        lam = (math.pi * math.pi / (phi * phi) - 1.0) / 4.0
+        worst = max(worst, abs(frame.lam - lam) / max(1.0, abs(lam)))
+        pitch = factor * frame.lam
+        for line in (a, b):
+            dx, dy, dz = (frame.rotation.T @ line.direction).tolist()
+            px, py, pz = (frame.rotation.T @ (line.point - frame.translation)).tolist()
+            horizontal = math.hypot(dx, dy)
+            t = -(px * dx + py * dy) / (horizontal * horizontal)
+            mx, my, mz = px + t * dx, py + t * dy, pz + t * dz
+            y = -mz / pitch
+            twist = abs(dx * math.cos(y) + dy * math.sin(y)) / horizontal
+            worst = max(worst, abs(dz), math.hypot(mx, my), twist)
+        m = phi % (2.0 * math.pi)
+        r = min(m, 2.0 * math.pi - m)
+        (u0, u1, u2), (v0, v1, v2) = a.direction.tolist(), b.direction.tolist()
+        n = [u1 * v2 - u2 * v1, u2 * v0 - u0 * v2, u0 * v1 - u1 * v0]
+        norm = math.sqrt(n[0] * n[0] + n[1] * n[1] + n[2] * n[2])
+        angle = math.atan2(norm, u0 * v0 + u1 * v1 + u2 * v2)
+        gap = [q - p for p, q in zip(a.point.tolist(), b.point.tolist())]
+        dist = abs(gap[0] * n[0] + gap[1] * n[1] + gap[2] * n[2]) / norm
+        worst = max(worst, abs(angle - (math.pi - r)), abs(dist - abs(pitch) * phi))
+    return worst
+
+
 # ---------------------------------------------------------------------------
-# Sequential constellation solver: the program as it built and self-checked
-# the two mirror solutions one after the other, each through the scalar
-# line kernels, the canonicalizing OrientedLine and the validating
-# HelicoidFrame, with every cross product on Python floats.  The program
-# builds and checks both solutions in one pass over arrays and must give
-# the same bits, raise the same first error, and fit the same helicoids.
+# The constellation solver's accuracy contract: the gauge construction of
+# solve_constellations (spherical triangle, 2x2 position solve, frames at the
+# common-perpendicular feet) carried out in 50-digit mpmath from the exact
+# double end angles, with the true pi, together with a first-order bound on
+# the rounding of each coordinate that the program returns.  Neither
+# trinoids.lines nor trinoids.constellation is called.
+
+CONSTELLATION_DPS = 50
+_U = 2.0**-53  # unit roundoff
+
+
+def _mp_cross(a, b):
+    return [a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0]]
+
+
+def _mp_dot(a, b):
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def _mp_unit(v):
+    norm = mpmath.sqrt(_mp_dot(v, v))
+    return [x / norm for x in v], norm
+
+
+@dataclass
+class MpConstellation:
+    """One solution at CONSTELLATION_DPS digits, with the bound of each field.
+
+    exact maps each field to one entry per line (points, directions of l12,
+    l23, l31) or frame (lams, rotations, translations of f1, f2, f3); an
+    entry is the pair (hi, lo) of float arrays whose sum is the exact value
+    to about 32 digits.  bound maps each field to one float per entry: the
+    largest error that the program may make in any coordinate of it.
+    Rotations have the columns [-sigma u_a x e, -sigma u_a, e].
+    """
+
+    exact: dict
+    bound: dict
+
+
+def _split(value):
+    """(hi, lo) float arrays of an mpf or a nested list of them: hi rounds
+    the value, and lo rounds the exact remainder."""
+    hi = np.array(value, dtype=float)
+    flat = value if hi.ndim == 1 else [x for row in value for x in row] if hi.ndim == 2 else [value]
+    lo = [to_float(mpf_sub(x._mpf_, from_float(h), 53, "n"))
+          for x, h in zip(flat, hi.ravel().tolist())]
+    return hi, np.array(lo).reshape(hi.shape)
+
+
+def mp_constellation(phis, convention=PitchConvention.HALF_GAP):
+    """Solutions + and - of the gauge construction of solve_constellations
+    for a generically admissible triple, at CONSTELLATION_DPS digits.
+
+    ValueError if the triple is not generically admissible at that
+    precision (it can be in double precision).  The first-order bound
+    follows the construction stage by stage, with u the unit roundoff:
+
+    * the reduced angles r_i and s_i = pi - r_i carry
+      d_ang = u (8 + 2 max|phi_i|) (the double 2 pi and pi, and fmod), each
+      cosine and sine one more u;
+    * ay divides by sin s1 = sin r1, and az is the square root of
+      1 - ax^2 - ay^2, so the directions carry
+      d_dir = 12 (d_ang + 2u) / (az sin r1);
+    * lambda = (pi^2/phi^2 - 1)/4 carries 5u |lambda| + 2u pi/phi^2 (the
+      double pi), and each offset c_i = chi_i pitch_i phi_i that times phi_i;
+    * a unit normal of two directions with |u_a x u_b| = sin r_i carries
+      6 (d_dir + u) / sin r_i;
+    * the 2x2 position solve divides by denom = e2 . n3, so y, and with it
+      the point of l23, carries its numerator's error over |denom| plus
+      |y| d_denom / |denom|;
+    * a frame's axis e carries its normal's error; its foot carries its
+      points' error over sin r_i and s (d_dir + 3 d_normal) / sin r_i, with
+      s the size of the foot and of p_b - p_a, since the foot parameter
+      divides by |u_a x u_b|^2.
+
+    Each constant is at least twice what the operation counts give, which
+    also covers the sums of terms that a max stands for.
+    """
+    phis = tuple(float(p) for p in phis)
+    factor = 2 if convention is PitchConvention.RULING_GAP else 1
+    u = _U
+    with mpmath.workdps(CONSTELLATION_DPS):
+        pi = mpmath.pi
+        phi = [mpmath.mpf(p) for p in phis]
+        r = []
+        for p in phi:
+            m = mpmath.fmod(p, 2 * pi)
+            r.append(min(m, 2 * pi - m))
+        s = [pi - x for x in r]
+        lams = [(pi * pi / (p * p) - 1) / 4 for p in phi]
+        chi = [mpmath.sign(mpmath.sin(p)) for p in phi]
+        c = [chi[i] * factor * lams[i] * phi[i] for i in range(3)]
+        u12 = [mpmath.mpf(1), mpmath.mpf(0), mpmath.mpf(0)]
+        u31 = [mpmath.cos(s[0]), mpmath.sin(s[0]), mpmath.mpf(0)]
+        ax = mpmath.cos(s[1])
+        ay = (mpmath.cos(s[2]) - u31[0] * ax) / u31[1]
+        az2 = 1 - ax * ax - ay * ay
+        if az2 <= 0:
+            raise ValueError(f"{phis} is not generically admissible at {CONSTELLATION_DPS} digits")
+        az = mpmath.sqrt(az2)
+        n1, nu1 = _mp_unit(_mp_cross(u12, u31))
+        p31 = [c[0] * x for x in n1]
+
+        d_ang = u * (8 + 2 * max(abs(p) for p in phis))
+        d_dir = 12 * (d_ang + 2 * u) / float(az * u31[1])
+        d_lam = [5 * u * abs(float(lam)) + 2 * u * math.pi / (p * p) for lam, p in zip(lams, phis)]
+        d_c = [factor * (d * abs(p) + 2 * u * abs(float(ci))) for d, p, ci in zip(d_lam, phis, c)]
+        d_n1 = 6 * (d_dir + u) / float(nu1)
+        d_p31 = abs(float(c[0])) * (d_n1 + 2 * u) + d_c[0]
+        out = []
+        for sign in (1, -1):
+            u23 = [ax, ay, sign * az]
+            n2, nu2 = _mp_unit(_mp_cross(u23, u12))
+            n3, nu3 = _mp_unit(_mp_cross(u31, u23))
+            e2, _ = _mp_unit(_mp_cross(u23, n2))
+            denom = _mp_dot(e2, n3)
+            x = -c[1]
+            y = (c[2] + _mp_dot(p31, n3) - x * _mp_dot(n2, n3)) / denom
+            p23 = [x * a + y * b for a, b in zip(n2, e2)]
+            points = [[mpmath.mpf(0)] * 3, p23, p31]
+            directions = [u12, u23, u31]
+
+            d_n2, d_n3 = 6 * (d_dir + u) / float(nu2), 6 * (d_dir + u) / float(nu3)
+            d_e2 = 6 * (d_dir + d_n2 + u)
+            d_denom = 2 * (d_e2 + d_n3 + 2 * u)
+            fx, fy, fdenom = abs(float(x)), abs(float(y)), abs(float(denom))
+            num = abs(float(c[2])) + abs(float(_mp_dot(p31, n3))) + fx * abs(float(_mp_dot(n2, n3)))
+            d_num = 2 * (d_c[2] + d_p31 + abs(float(c[0])) * d_n3 + d_c[1]
+                         + fx * (d_n2 + d_n3) + 6 * u * num)
+            d_y = 2 * (d_num + fy * d_denom) / fdenom + 2 * u * fy
+            d_p23 = 2 * (d_c[1] + fx * d_n2 + d_y + fy * d_e2 + 2 * u * (fx + fy))
+            d_point = [0.0, d_p23, d_p31]
+            d_direction = [0.0, d_dir, d_dir]
+
+            rotations, translations, d_rot, d_trans = [], [], [], []
+            for i, (ka, kb) in enumerate(((0, 2), (1, 0), (2, 1))):
+                pa, ua, pb, ub = points[ka], directions[ka], points[kb], directions[kb]
+                n, nu = _mp_unit(_mp_cross(ua, ub))
+                d = [q - p for p, q in zip(pa, pb)]
+                t = _mp_dot(_mp_cross(d, ub), n) / nu
+                foot = [p + t * v for p, v in zip(pa, ua)]
+                e = [-chi[i] * v for v in n]
+                sigma = mpmath.sign(lams[i])
+                col0 = [-sigma * v for v in _mp_cross(ua, e)]
+                col1 = [-sigma * v for v in ua]
+                rotations.append([[col0[m], col1[m], e[m]] for m in range(3)])
+                translations.append(foot)
+
+                fnu = float(nu)
+                d_normal = 2 * (2 * (d_direction[ka] + d_direction[kb]) + 3 * u) / fnu
+                d_rot.append(2 * (d_direction[ka] + d_normal + 2 * u))
+                size = max(abs(float(v)) for v in d + foot + pa)
+                d_t = 2 * ((d_point[ka] + d_point[kb] + u * size) / fnu
+                           + size * (d_direction[kb] + 3 * d_normal) / fnu + 5 * u * size / fnu)
+                d_trans.append(2 * (d_point[ka] + d_t + size * d_direction[ka] + 2 * u * size))
+            exact = {"points": points, "directions": directions, "lams": lams,
+                     "rotations": rotations, "translations": translations}
+            out.append(MpConstellation(
+                {name: [_split(v) for v in values] for name, values in exact.items()},
+                {"points": d_point, "directions": d_direction, "lams": d_lam,
+                 "rotations": d_rot, "translations": d_trans}))
+        return out
+
+
+def constellation_error_ratio(c, exact: MpConstellation) -> float:
+    """Largest |coordinate - exact| / bound over every float of a solution."""
+    got = {
+        "points": [line.point for line in c.lines()],
+        "directions": [line.direction for line in c.lines()],
+        "lams": [f.lam for _, _, f in c.pairs()],
+        "rotations": [f.rotation for _, _, f in c.pairs()],
+        "translations": [f.translation for _, _, f in c.pairs()],
+    }
+    worst = 0.0
+    for name, values in got.items():
+        for value, (hi, lo), bound in zip(values, exact.exact[name], exact.bound[name]):
+            err = float(np.max(np.abs((np.asarray(value) - hi) - lo)))
+            if err:
+                worst = max(worst, err / bound if bound else math.inf)
+    return worst
+
+
+# ---------------------------------------------------------------------------
+# Scalar line kernels: the line geometry one line, pair or frame at a time,
+# through numpy's single-vector expressions, with every cross product on
+# Python floats.  The row kernels of trinoids.lines, which asymptotics and
+# the solver's self-check share, must give the same bits and refusals, and
+# asymptotics.fit_helicoid must fit the same helicoids; verify_constellation
+# must give the report of seq_verify_constellation.
 
 
 def seq_cross(a, b) -> np.ndarray:
@@ -1529,44 +1599,6 @@ def seq_ruling_residual(rotation, translation, pitch: float, line) -> float:
     return max(res_horizontal, res_axis, res_twist)
 
 
-def seq_pair_frame(a, b, lam: float, phi: float, qa) -> SeqFrame:
-    n_hat = seq_unit(seq_cross(a.direction, b.direction))
-    e = -_screw_sign(phi) * n_hat
-    sigma = math.copysign(1.0, lam)
-    col0 = -sigma * seq_cross(a.direction, e)
-    col1 = -sigma * a.direction
-    R = np.column_stack([col0, col1, e])
-    return SeqFrame(lam, R, qa)
-
-
-def seq_assemble(phis, lams, u12, u23, u31, convention) -> Constellation:
-    chi = tuple(_screw_sign(p) for p in phis)
-    pitch = tuple(pitch_coefficient(lam, convention) for lam in lams)
-    c = tuple(chi[i] * pitch[i] * phis[i] for i in range(3))
-
-    n1 = seq_unit(seq_cross(u12, u31))
-    n2 = seq_unit(seq_cross(u23, u12))
-    n3 = seq_unit(seq_cross(u31, u23))
-
-    p12 = np.zeros(3)
-    p31 = c[0] * n1
-    e2 = seq_unit(seq_cross(u23, n2))
-    denom = float(e2 @ n3)
-    if abs(denom) < 1e-12:
-        raise ConstellationSolveError("coplanar direction triple; position solve singular")
-    x = -c[1]
-    y = (c[2] + float(p31 @ n3) - x * float(n2 @ n3)) / denom
-    p23 = x * n2 + y * e2
-
-    l12 = SeqLine(p12, u12)
-    l23 = SeqLine(p23, u23)
-    l31 = SeqLine(p31, u31)
-    f1 = seq_pair_frame(l12, l31, lams[0], phis[0], seq_common_perpendicular_feet(l12, l31)[0])
-    f2 = seq_pair_frame(l23, l12, lams[1], phis[1], seq_common_perpendicular_feet(l23, l12)[0])
-    f3 = seq_pair_frame(l31, l23, lams[2], phis[2], seq_common_perpendicular_feet(l31, l23)[0])
-    return Constellation(l12, l23, l31, f1, f2, f3, convention)
-
-
 def seq_verify_constellation(c, phis) -> ConstellationReport:
     phis = tuple(float(p) for p in phis)
     containment, angles, distances = [], [], []
@@ -1581,60 +1613,6 @@ def seq_verify_constellation(c, phis) -> ConstellationReport:
     points = [line.point for line in c.lines()] + [f.translation for _, _, f in c.pairs()]
     scale = max(abs(x) for v in points for x in v.tolist())
     return ConstellationReport(tuple(containment), tuple(angles), tuple(distances), scale)
-
-
-def seq_ok(report) -> bool:
-    tol = 1e-9 * max(1.0, report.scale)
-    return (max(report.angle) < 1e-9 and max(report.containment) < tol
-            and max(report.distance) < tol)
-
-
-def seq_solve_constellations(phi1, phi2, phi3, convention=PitchConvention.HALF_GAP,
-                             eps_face: float = 1e-12):
-    outcome = trinoids_classify_triple(phi1, phi2, phi3, eps_face=eps_face)
-    if outcome.tag is TripleTag.PARALLEL_BOUNDARY:
-        warnings.warn(
-            "reduced triple lies on the tetrahedron boundary (parallel "
-            "constellations); no generic solution exists",
-            ParallelBoundaryWarning,
-        )
-        return []
-    if outcome.tag is not TripleTag.GENERIC_ADMISSIBLE:
-        return []
-
-    phis = (phi1, phi2, phi3)
-    r = outcome.reduced
-    s = tuple(math.pi - ri for ri in r)
-    lams = tuple(lambda_of_phi(p) for p in phis)
-    u12 = np.array([1.0, 0.0, 0.0])
-    u31 = np.array([math.cos(s[0]), math.sin(s[0]), 0.0])
-    ax = math.cos(s[1])
-    ay = (math.cos(s[2]) - math.cos(s[0]) * math.cos(s[1])) / math.sin(s[0])
-    az2 = 1.0 - ax * ax - ay * ay
-    if az2 <= 0.0:
-        raise ValueError(
-            f"direction solve degenerate (az^2 = {az2}); triple too close to the boundary"
-        )
-    az = math.sqrt(az2)
-
-    solutions = []
-    for sign in (1.0, -1.0):
-        u23 = np.array([ax, ay, sign * az])
-        sol = seq_assemble(phis, lams, u12, u23, u31, convention)
-        report = seq_verify_constellation(sol, phis)
-        for i, res in enumerate(report.angle):
-            if not res < 1e-9:
-                raise ValueError(
-                    f"direction solve cannot resolve reduced angle r{i + 1} = {r[i]:.3e} "
-                    f"in double precision (angle residual {res:.3e}); triple too close "
-                    "to the boundary"
-                )
-        if not seq_ok(report):
-            raise ConstellationSolveError(
-                f"solution failed self-check: max residual {report.max_residual:.3e}"
-            )
-        solutions.append(replace(sol, self_check=report))
-    return solutions
 
 
 def _wrap_to_pi(x: float) -> float:

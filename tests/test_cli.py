@@ -7,6 +7,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from trinoids import cli, surfaces
@@ -259,7 +261,7 @@ class TestSurface:
         ("cousin", "1", ["--xmin", "-1000", "--xmax", "1000"]),
         ("cousin", "1", ["--xmin", "0", "--xmax", "1000"]),
         ("cousin", "0.75", ["--ymax", "1e308"]),
-        ("cousin", "1", ["--xmin", "0", "--xmax", "300", "--model", "ball"]),
+        ("cousin", "1", ["--xmin", "0", "--xmax", "1000", "--model", "ball"]),
         ("catenoid", "1", ["--xmin", "-1000", "--xmax", "1000"]),
         ("helicoid", "1", ["--xmin", "-1000", "--xmax", "1000"]),
         ("catenoid", "0.3", ["--xmin=-800", "--xmax=-700"]),
@@ -273,8 +275,7 @@ class TestSurface:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1, err
-        if "--model" not in extra:
-            assert "too large for this lambda" in err
+        assert "too large for this lambda" in err
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert not obj.exists()
 
@@ -781,3 +782,34 @@ class TestConfigAndDeterminism:
                 "--obj", str(obj))
             objs.append(obj.read_bytes())
         assert objs[0] == objs[1]
+
+
+SURFACE_LAMBDAS = st.one_of(
+    st.sampled_from(["0", "-0.25", "nan", "inf", "-inf", "1e308", "1e-300", "-1e-8", "-0.2499",
+                     "1e-8", "0.05", "0.3", "1", "100", "1e6"]),
+    st.floats(-0.25, 1e6).map(repr))
+SURFACE_BOUNDS = st.one_of(st.sampled_from(["-800", "-300", "-30", "0", "30", "300", "400", "700"]),
+                           st.floats(-1e6, 1e6).map(repr))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(kind=st.sampled_from(["helicoid", "catenoid", "cousin", "ball"]), lam=SURFACE_LAMBDAS,
+       bounds=st.lists(SURFACE_BOUNDS, min_size=4, max_size=4))
+def test_surface_exits_0_or_names_its_input(capsys, tmp_path, kind, lam, bounds):
+    """Every surface run writes finite positions and unit normals, or exits
+    2 with one line that names a flag or lambda, never an internal check."""
+    csv = tmp_path / "s.csv"
+    model = ["--model", "ball"] if kind == "ball" else []
+    flags = [f"--{name}={value}" for name, value in zip(("xmin", "xmax", "ymin", "ymax"), bounds)]
+    code, out, err = run(capsys, "surface", "--nx", "5", "--ny", "5", "--csv", str(csv), "--force",
+                         *model, *flags, "--", "cousin" if model else kind, lam)
+    if code == 0:
+        rows = np.loadtxt(csv, delimiter=",", skiprows=1, ndmin=2)
+        assert np.all(np.isfinite(rows)), (kind, lam, bounds)
+        assert np.all(np.abs(np.linalg.norm(rows[:, 5:], axis=1) - 1.0) <= 1e-12)
+    else:
+        assert code == 2 and err.startswith("error: ") and err.count("\n") == 1, (code, err)
+        assert "lambda" in err or any(f"--{name}" in err for name in ("xmin", "xmax", "ymin",
+                                                                          "ymax")), err
+        assert "grid" not in err, err

@@ -269,3 +269,58 @@ class TestBruteForceOracle:
                     for u2, u3 in hits
                 )
                 assert best <= math.radians(2.5)
+
+
+def tiny_band_triples(rng, n, low=2e-3, high=1e-1):
+    """Admissible triples whose smallest reduced angle d is log-uniform in
+    [low, high]: the other two sum to pi + eta with |eta| < d and differ by
+    less than pi - d, lifted to angles in (0, 4*pi)."""
+    out = []
+    while len(out) < n:
+        d = math.exp(rng.uniform(math.log(low), math.log(high)))
+        total, diff = PI + rng.uniform(-d, d), rng.uniform(-(PI - d), PI - d)
+        a, b = (total + diff) / 2, (total - diff) / 2
+        if not (d <= a < PI and d <= b < PI):
+            continue
+        r = [[d, a, b][i] for i in rng.permutation(3)]
+        lifts = rng.integers(0, 4, 3)
+        out.append(tuple(float([x, 2 * PI - x, 2 * PI + x, 4 * PI - x][m])
+                         for x, m in zip(r, lifts)))
+    return out
+
+
+def face_slack_triples(rng, n, low=1e-9, high=1e-2, floor=0.05):
+    """Admissible triples at a face slack log-uniform in [low, high] from one
+    of the four tetrahedron faces, every reduced angle in [floor, pi - floor],
+    lifted to angles in (0, 4*pi)."""
+    out = []
+    while len(out) < n:
+        r = rng.uniform(floor, PI - floor, 3)
+        slack = math.exp(rng.uniform(math.log(low), math.log(high)))
+        face = rng.integers(0, 4)
+        if face == 0:  # r1 + r2 + r3 - pi = slack
+            r[2] = PI - r[0] - r[1] + slack
+        else:  # pi - (r_i + r_j - r_k) = slack with k = face - 1
+            k = face - 1
+            i, j = [m for m in range(3) if m != k]
+            r[k] = r[i] + r[j] - PI + slack
+        if not np.all((r >= floor) & (r <= PI - floor)):
+            continue
+        lifts = rng.integers(0, 4, 3)
+        out.append(tuple(float([x, 2 * PI - x, 2 * PI + x, 4 * PI - x][m])
+                         for x, m in zip(r, lifts)))
+    return out
+
+
+def test_benchmark_residual_on_tiny_angles_and_near_faces():
+    # the benchmark's check (bench/checks.check_triple): an absolute 1e-9 on
+    # the residual at the helicoid axes, where uniform draws meet their
+    # worst triples: a small reduced angle, or a face close by
+    rng = np.random.default_rng(2028)
+    for triples in (tiny_band_triples(rng, 1000), face_slack_triples(rng, 1000)):
+        worst = 0.0
+        for phis in triples:
+            sols = solve_constellations(*phis)
+            assert len(sols) == 2, phis
+            worst = max([worst] + [oracles.axis_residual(c, phis) for c in sols])
+        assert worst < oracles.AXIS_RESIDUAL_TOL

@@ -1,15 +1,15 @@
-"""lines.cross3 and everything built on it against np.cross.
+"""lines.cross3 against np.cross, and the solver against its 50-digit oracle.
 
 The program takes every cross product of two single 3-vectors with
-trinoids.lines.cross3, on Python floats; the original (tests/oracles.py)
-took them with np.cross.  The kernel must give the same bits, so every
-line, rotation, invariant set and CLI output must be the same bytes.  The
-original also placed each frame at the textbook perpendicular foot, which
-divides by 1 - (u_a . u_b)^2; the program divides by |u_a x u_b|^2, so
-frame translations are compared to rounding.  The original's self-check was
-absolute; the program's scales its containment and distance parts with the
-coordinates, so where the two disagree the program's frames are checked
-against oracles.exact_frame_residual.
+trinoids.lines.cross3, on Python floats; it must give the bits of np.cross,
+so the CLI writes the same bytes with np.cross in its place.  The solver's
+contract is accuracy: every coordinate it returns lies within the
+first-order bound of oracles.mp_constellation, the same construction at 50
+digits, and every solution passes its own scale-relative self-check and
+oracles.exact_frame_residual.  An earlier solver placed each frame at the
+textbook perpendicular foot, which divides by 1 - (u_a . u_b)^2, and
+refused the triples of REPLACED_FRAMES and TEXTBOOK_FEET below; the program
+divides by |u_a x u_b|^2 and solves them.
 """
 
 import ast
@@ -27,7 +27,6 @@ from trinoids import weierstrass as W
 from trinoids.constellation import (
     ConstellationSolveError,
     ParallelBoundaryWarning,
-    _invariant_set,
     solve_constellations,
 )
 from trinoids.params import PitchConvention
@@ -77,13 +76,13 @@ REFUSALS = ("direction solve degenerate", "direction solve cannot resolve")
 EXACT_TOL = 1e-13
 
 
-def outcome(solve, phis, convention=PitchConvention.HALF_GAP, eps_face=1e-12):
-    """A solver's solutions for a triple, or (exit code, message) if it
+def outcome(phis, convention=PitchConvention.HALF_GAP, eps_face=1e-12):
+    """The solutions of a triple, or (exit code, message) if the solver
     raised: 2 for a ValueError, 3 for a ConstellationSolveError."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ParallelBoundaryWarning)
         try:
-            sols = solve(*phis, convention=convention, eps_face=eps_face)
+            sols = solve_constellations(*phis, convention=convention, eps_face=eps_face)
         except ConstellationSolveError as exc:
             return (3, str(exc))
         except ValueError as exc:
@@ -98,82 +97,29 @@ def assert_exact(phis, solutions):
         assert oracles.exact_frame_residual(c, phis) < EXACT_TOL, phis
 
 
-def assert_frames_replaced(phis, new, convention=PitchConvention.HALF_GAP, eps_face=1e-12,
-                           absolute=True):
-    """new solves a triple on which the original failed its self-check: the
-    lines and rotations are the original's first placement, bit for bit, and
-    only the frame translations moved, enough to pass the check (the
-    original's absolute one too, unless absolute is False)."""
-    first = oracles.solve_constellations(*phis, convention=convention, eps_face=eps_face,
-                                         residual_tol=math.inf)
-    assert len(new) == len(first) == 2
-    assert_exact(phis, new)
-    for c_new, c_first in zip(new, first):
-        if absolute:
-            assert oracles.verify_constellation(c_new, phis).max_residual < 1e-9
-        assert oracles.verify_constellation(c_first, phis).max_residual >= 1e-9
-        for l_new, l_first in zip(c_new.lines(), c_first.lines()):
-            assert bits(l_new.point) == bits(l_first.point)
-            assert bits(l_new.direction) == bits(l_first.direction)
-        for (_, _, f_new), (_, _, f_first) in zip(c_new.pairs(), c_first.pairs()):
-            assert bits(f_new.rotation) == bits(f_first.rotation)
-            assert bits([f_new.lam]) == bits([f_first.lam])
-    assert constellation.mirror_related(new[0].lines(), new[1].lines())
-
-
-# frame translations: the program's foot divides by |u_a x u_b|^2, the
-# original's by 1 - (u_a . u_b)^2, so they agree only to rounding
-TRANSLATION_RTOL = 1e-12
-
-
-def assert_same_solutions(phis, convention=PitchConvention.HALF_GAP, eps_face=1e-12,
-                          absolute=True):
-    """The original's solutions, or solutions where the original failed its
-    self-check.  Lines, rotations, lambdas, invariants, the angle and distance
-    residuals and whether the triple is solved are compared bit for bit;
-    frame translations within TRANSLATION_RTOL * max(1, |translation|).  The
-    program never exits 3 and refuses only what the original refused: with
-    the original's own exit-2 message, or where the original exited 3, as too
-    close to the boundary.  Each solution passes the original's absolute
-    self-check, or with absolute False its own and the exact oracle.  Returns
-    the number of solutions and of replaced-frame ones."""
-    new = outcome(solve_constellations, phis, convention, eps_face)
-    old = outcome(oracles.solve_constellations, phis, convention, eps_face)
-    if isinstance(new, tuple):
-        assert new[0] == 2 and isinstance(old, tuple), (phis, old, new)
-        if old[0] == 3:
-            assert new[1].startswith(REFUSALS), (phis, old, new)
-        else:
-            assert new == old, (phis, old, new)
-        return 0, 0
-    if isinstance(old, tuple):
-        assert old[1].startswith("solution failed self-check"), (phis, old)
-        assert_frames_replaced(phis, new, convention, eps_face, absolute)
-        return 0, len(new)
-    assert len(new) == len(old), phis
-    for c_new, c_old in zip(new, old):
-        for l_new, l_old in zip(c_new.lines(), c_old.lines()):
-            assert bits(l_new.point) == bits(l_old.point), phis
-            assert bits(l_new.direction) == bits(l_old.direction), phis
-        for (_, _, f_new), (_, _, f_old) in zip(c_new.pairs(), c_old.pairs()):
-            assert bits(f_new.rotation) == bits(f_old.rotation), phis
-            assert bits([f_new.lam]) == bits([f_old.lam]), phis
-            scale = max(1.0, float(np.linalg.norm(f_old.translation)))
-            moved = float(np.max(np.abs(f_new.translation - f_old.translation)))
-            assert moved <= TRANSLATION_RTOL * scale, phis
-        rep_new = c_new.self_check
-        rep_old = oracles.verify_constellation(c_old, phis)
-        if absolute:
-            assert rep_new.max_residual < 1e-9, phis
-        assert bits(rep_new.angle) == bits(rep_old.angle), phis
-        assert bits(rep_new.distance) == bits(rep_old.distance), phis
-        ang_n, gap_n, tri_n = _invariant_set(c_new.lines())
-        ang_o, gap_o, tri_o = oracles.invariant_set(c_old.lines())
-        assert bits(ang_n) == bits(ang_o) and bits(gap_n) == bits(gap_o), phis
-        assert bits([tri_n]) == bits([tri_o]), phis
-    if not absolute:
-        assert_exact(phis, new)
-    return len(new), 0
+def assert_oracle(phis, convention=PitchConvention.HALF_GAP, eps_face=1e-12):
+    """A triple's solutions against the 50-digit oracle: each coordinate
+    within its bound, each solution through its self-check, and the two
+    mirror-related.  A refusal must be exit 2 for a triple too close to the
+    boundary.  Returns the number of solutions."""
+    sols = outcome(phis, convention, eps_face)
+    if isinstance(sols, tuple):
+        assert sols[0] == 2 and sols[1].startswith(REFUSALS), (phis, sols)
+        return 0
+    if not sols:
+        return 0
+    assert len(sols) == 2 and all(c.self_check.ok() for c in sols), phis
+    assert constellation.mirror_related(sols[0].lines(), sols[1].lines()), phis
+    try:
+        exact = oracles.mp_constellation(phis, convention)
+    except ValueError:
+        # outside the tetrahedron at 50 digits, inside it in double precision
+        assert eps_face == 0.0, phis
+        assert_exact(phis, sols)
+        return len(sols)
+    for c, want in zip(sols, exact):
+        assert oracles.constellation_error_ratio(c, want) <= 1.0, phis
+    return len(sols)
 
 
 def near_face_triples(rng, n, offsets):
@@ -199,14 +145,14 @@ def near_face_triples(rng, n, offsets):
 
 
 class TestSolverSameAsOriginal:
+    """The solver within the bound of its 50-digit oracle (the class once
+    compared it bit for bit with the original np.cross solver)."""
+
     @pytest.mark.parametrize("chunk", range(4))
     def test_seeded_triples(self, chunk):
         rng = np.random.default_rng(30 + chunk)
-        solved = 0
-        for phis in rng.uniform(0.0, 4 * PI, (1000, 3)):
-            same, replaced = assert_same_solutions(tuple(float(p) for p in phis))
-            solved += same
-            assert replaced == 0
+        solved = sum(assert_oracle(tuple(float(p) for p in phis))
+                     for phis in rng.uniform(0.0, 4 * PI, (1000, 3)))
         assert solved > 400
 
     @pytest.mark.parametrize("r1_slice", [slice(0, 8), slice(8, 16), slice(16, 25)])
@@ -215,22 +161,20 @@ class TestSolverSameAsOriginal:
         for r1 in grid[r1_slice]:
             for r2 in grid:
                 for r3 in grid:
-                    assert assert_same_solutions((r1, r2, r3))[1] == 0
+                    assert_oracle((r1, r2, r3))
 
     @pytest.mark.parametrize("eps_face", [1e-12, 0.0, 1e-9])
     def test_near_faces(self, eps_face):
         rng = np.random.default_rng(40)
         offsets = [-1e-9, -3e-10, -1e-12, 0.0, 1e-12, 3e-10, 1e-9]
-        counts = np.zeros(2, dtype=int)
-        for phis in near_face_triples(rng, 300, offsets):
-            counts += assert_same_solutions(phis, eps_face=eps_face, absolute=False)
-        print(f"eps_face={eps_face}: {counts[0]} same solutions, {counts[1]} replaced frames")
+        solved = sum(assert_oracle(phis, eps_face=eps_face)
+                     for phis in near_face_triples(rng, 300, offsets))
+        assert solved > 0
 
     def test_ruling_gap_convention(self):
         rng = np.random.default_rng(41)
         for phis in rng.uniform(0.0, 4 * PI, (300, 3)):
-            assert assert_same_solutions(tuple(float(p) for p in phis),
-                                         PitchConvention.RULING_GAP)[1] == 0
+            assert_oracle(tuple(float(p) for p in phis), PitchConvention.RULING_GAP)
 
 
 # Admissible triples whose frames, placed at the textbook foot, fail the
@@ -249,9 +193,11 @@ REPLACED_FRAMES = [
 class TestFramesAtCrossFeet:
     @pytest.mark.parametrize("phis", REPLACED_FRAMES)
     def test_solved(self, phis):
-        with pytest.raises(ConstellationSolveError, match="failed self-check"):
-            oracles.solve_constellations(*phis)
-        assert_frames_replaced(phis, solve_constellations(*phis))
+        assert assert_oracle(phis) == 2
+        sols = solve_constellations(*phis)
+        assert_exact(phis, sols)
+        for c in sols:
+            assert oracles.axis_residual(c, phis) < oracles.AXIS_RESIDUAL_TOL
 
     def test_cli(self, capsys):
         code = cli.main(["constellation", *map(repr, REPLACED_FRAMES[2])])
@@ -260,44 +206,26 @@ class TestFramesAtCrossFeet:
         assert max(s["residuals"]["max"] for s in doc["solutions"]) < 1e-9
 
 
-# An admissible triple near a face whose frames, placed at the program's
-# foot, miss the absolute 1e-9 (1.9e-9 at coordinates of 1.4e7, where one
-# ulp is 1.9e-9) and pass it at the textbook foot, where the original placed
-# them.  The program's check scales with the coordinates, so it keeps its
-# own foot.
+# An admissible triple near a face whose feet lie 1.4e7 out, where one ulp
+# is 1.9e-9.  The original solver placed its frames at the textbook foot;
+# the program's self-check scales with the coordinates.
 TEXTBOOK_FEET = (9.318191116462993, 10.760792323785575, 8.19535044205857)
 
 
 class TestFramesAtTextbookFeet:
     def test_solved_as_the_original(self):
-        new = solve_constellations(*TEXTBOOK_FEET)
-        old = oracles.solve_constellations(*TEXTBOOK_FEET)
-        assert len(new) == len(old) == 2
-        assert_exact(TEXTBOOK_FEET, new)
-        assert max(c.self_check.max_residual for c in new) >= 1e-9
-        for c_new, c_old in zip(new, old):
-            for l_new, l_old in zip(c_new.lines(), c_old.lines()):
-                assert bits(l_new.point) == bits(l_old.point)
-                assert bits(l_new.direction) == bits(l_old.direction)
-            for (a, b, f_new), (_, _, f_old) in zip(c_new.pairs(), c_old.pairs()):
-                assert bits(f_new.rotation) == bits(f_old.rotation)
-                assert bits([f_new.lam]) == bits([f_old.lam])
-                (foot,) = lines.line_pairs([a.point], [a.direction], [b.point], [b.direction]).qa
-                assert bits(f_new.translation) == bits(foot)
-                scale = max(1.0, float(np.linalg.norm(f_old.translation)))
-                moved = float(np.max(np.abs(f_new.translation - f_old.translation)))
-                assert moved <= TRANSLATION_RTOL * scale
+        assert assert_oracle(TEXTBOOK_FEET) == 2
+        sols = solve_constellations(*TEXTBOOK_FEET)
+        assert_exact(TEXTBOOK_FEET, sols)
+        assert min(c.self_check.scale for c in sols) > 1e7
 
     def test_parallel_pair_refused_as_by_the_original(self, capsys):
         # a reduced angle of 1e-8: 1 - (u_a . u_b)^2 rounds to 0, so the
-        # original refuses the textbook foot; the program's cross foot exists,
-        # and its placement passes the scale-relative check and the exact oracle
+        # original refused the textbook foot; the program's cross foot exists,
+        # and its placement passes the scale-relative check and both oracles
         phis = (1e-8, 1.0, PI - 1.0 + 5e-9)
-        with pytest.raises(ValueError, match="parallel"):
-            oracles.solve_constellations(*phis)
-        new = solve_constellations(*phis)
-        assert len(new) == 2 and constellation.mirror_related(new[0].lines(), new[1].lines())
-        assert_exact(phis, new)
+        assert assert_oracle(phis) == 2
+        assert_exact(phis, solve_constellations(*phis))
         assert cli.main(["constellation", *map(repr, phis)]) == 0
         assert json.loads(capsys.readouterr().out)["count"] == 2
 

@@ -34,50 +34,56 @@ def bits(a):
     return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64).tobytes()
 
 
-def outcome(solve, phis, convention, eps_face):
+def outcome(phis, convention, eps_face):
     """Solutions, or (exception type, message) of what the solver raised."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ParallelBoundaryWarning)
         try:
-            return solve(*phis, convention=convention, eps_face=eps_face)
+            return constellation.solve_constellations(*phis, convention=convention,
+                                                      eps_face=eps_face)
         except (ValueError, ConstellationSolveError) as exc:
             return (type(exc).__name__, str(exc))
 
 
-def solution_bits(c) -> bytes:
-    """Every float of a solution and of its self-check, in one byte string."""
-    floats = []
-    for line in c.lines():
-        floats += [line.point, line.direction]
-    for _, _, frame in c.pairs():
-        floats += [frame.rotation.ravel(), frame.translation, [frame.lam]]
-    rep = c.self_check
-    floats += [rep.containment, rep.angle, rep.distance, [rep.scale, rep.max_residual]]
-    return b"".join(bits(x) for x in floats)
+# the refusals of a triple too close to the boundary for double precision
+BOUNDARY = ("direction solve", "coplanar direction triple", "solution failed self-check",
+            lines.PARALLEL, constellation.NOT_ROTATION)
 
 
-def arrays(c):
-    return [a for line in c.lines() for a in (line.point, line.direction)] + [
-        a for _, _, frame in c.pairs() for a in (frame.rotation, frame.translation)]
-
-
-def assert_same(phis, convention=PitchConvention.HALF_GAP, eps_face=1e-12):
-    """The one pass and the sequential solver agree on a triple; returns the
-    number of solutions, or the exception type name."""
+def assert_checked(phis, convention=PitchConvention.HALF_GAP, eps_face=1e-12, exact=False):
+    """Each solution of a triple passes its self-check and either the
+    50-digit oracle (if exact) or the benchmark's absolute residual (for
+    scales up to 1; its own scale-relative bound beyond), and the two are
+    mirror related and share no array.  The benchmark's residual turns a
+    rounding of the axis height into a twist divided by the pitch, so it
+    says nothing where a pitch is tiny and the feet lie far out, as near
+    a reduced angle of pi.  Returns the number of solutions, or the
+    exception type name of a refusal."""
     phis = tuple(float(p) for p in phis)
-    new = outcome(constellation.solve_constellations, phis, convention, eps_face)
-    old = outcome(oracles.seq_solve_constellations, phis, convention, eps_face)
-    if isinstance(old, tuple) or isinstance(new, tuple):
-        assert new == old, (phis, convention, eps_face)
-        return old[0]
-    assert len(new) == len(old), phis
-    for c_new, c_old in zip(new, old):
-        assert type(c_new.self_check) is type(c_old.self_check)
-        assert solution_bits(c_new) == solution_bits(c_old), (phis, convention, eps_face)
-        assert c_new.convention is c_old.convention
-    if new:  # the two solutions share no array, not even pair 1's
-        assert not any(np.shares_memory(a, b) for a in arrays(new[0]) for b in arrays(new[1]))
-    return len(new)
+    sols = outcome(phis, convention, eps_face)
+    if isinstance(sols, tuple):
+        assert sols[1].startswith(BOUNDARY), (phis, sols)
+        return sols[0]
+    for c in sols:
+        assert c.self_check.ok() and c.convention is convention, phis
+        if not exact:
+            bound = oracles.AXIS_RESIDUAL_TOL * max(1.0, c.self_check.scale)
+            assert oracles.axis_residual(c, phis) < bound, phis
+    if sols and exact:
+        try:
+            want = oracles.mp_constellation(phis, convention)
+        except ValueError:  # outside the tetrahedron at 50 digits
+            assert eps_face == 0.0
+            want = []
+            assert all(oracles.exact_frame_residual(c, phis) < 1e-13 for c in sols), phis
+        assert all(oracles.constellation_error_ratio(c, w) <= 1.0 for c, w in zip(sols, want))
+    if sols:
+        assert constellation.mirror_related(sols[0].lines(), sols[1].lines()), phis
+        arrays = [[a for line in c.lines() for a in (line.point, line.direction)]
+                  + [a for _, _, f in c.pairs() for a in (f.rotation, f.translation)]
+                  for c in sols]
+        assert not any(np.shares_memory(a, b) for a in arrays[0] for b in arrays[1])
+    return len(sols)
 
 
 def tiny_angle_triples(rng, n):
@@ -99,13 +105,16 @@ def tiny_angle_triples(rng, n):
 
 
 class TestSameAsSequential:
+    """Residual checks of both mirror solutions on the large sets (the class
+    once compared them bit for bit with the sequential solver)."""
+
     @pytest.mark.parametrize("chunk", range(4))
     def test_seeded_triples(self, chunk):
         # seed [2024, 0], 20,000 triples over (0, 4 pi)^3, conventions alternating
         phis = np.random.default_rng([2024, 0]).uniform(0.0, 4 * PI, (20_000, 3))
         solved = 0
         for i in range(chunk * 5000, (chunk + 1) * 5000):
-            solved += assert_same(phis[i], CONVENTIONS[i % 2]) == 2
+            solved += assert_checked(phis[i], CONVENTIONS[i % 2]) == 2
         assert solved > 1500
 
     @pytest.mark.parametrize("r1_slice", [slice(0, 8), slice(8, 16), slice(16, 25)])
@@ -114,14 +123,14 @@ class TestSameAsSequential:
         for i, r1 in enumerate(grid[r1_slice]):
             for j, r2 in enumerate(grid):
                 for k, r3 in enumerate(grid):
-                    assert_same((r1, r2, r3), CONVENTIONS[(i + j + k) % 2])
+                    assert assert_checked((r1, r2, r3), CONVENTIONS[(i + j + k) % 2]) in (0, 2)
 
     @pytest.mark.parametrize("eps_face", [1e-12, 0.0, 1e-9])
     def test_near_faces(self, eps_face):
         offsets = [-1e-9, -3e-10, -1e-12, 0.0, 1e-12, 3e-10, 1e-9]
         for phis in near_face_triples(np.random.default_rng(40), 300, offsets):
             for convention in CONVENTIONS:
-                assert_same(phis, convention, eps_face)
+                assert_checked(phis, convention, eps_face)
 
     @pytest.mark.parametrize("eps_face", [1e-12, 0.0])
     def test_tiny_angles(self, eps_face):
@@ -130,13 +139,13 @@ class TestSameAsSequential:
         seen = set()
         for phis in tiny_angle_triples(np.random.default_rng(2025), 1500):
             for convention in CONVENTIONS:
-                seen.add(assert_same(phis, convention, eps_face))
+                seen.add(assert_checked(phis, convention, eps_face, exact=True))
         assert {2, "ValueError", "ConstellationSolveError"} <= seen
 
     @pytest.mark.parametrize("phis", REPLACED_FRAMES + [TEXTBOOK_FEET, (1e-8, 1.0, PI - 1.0 + 5e-9)])
     @pytest.mark.parametrize("convention", CONVENTIONS)
     def test_probe_triples(self, phis, convention):
-        assert assert_same(phis, convention) == 2
+        assert assert_checked(phis, convention, exact=True) == 2
 
     def test_verify_constellation(self):
         # the report of any constellation, here with a moved line and a
@@ -189,22 +198,22 @@ class TestRefusalOrder:
 
     @pytest.mark.parametrize("plus_fails", [False, True])
     def test_minus_frame_refused(self, monkeypatch, plus_fails):
-        # solution - refuses a frame (pair rows 3 and 4 are its pairs 2 and
-        # 3): only solution + is checked, and a failed check of solution +
-        # is raised before the refusal of solution -
-        real_flags, real_check = constellation.not_rotations, constellation._self_check
-        checked = []
+        # solution - refuses its pair-2 frame (the fifth frame built): only
+        # solution + is checked, and a failed check of solution + is raised
+        # before the refusal of solution -
+        real_flag, real_check = constellation.not_rotation, constellation._self_check
+        built, checked = [], []
 
-        def minus_refused(rotations):
-            flags = real_flags(rotations)
-            return flags[:3] + [True, True] if len(flags) == 5 else flags
+        def minus_refused(columns):
+            built.append(columns)
+            return len(built) == 5 or real_flag(columns)
 
         def check(*args):
             reports = real_check(*args)
             checked.append(len(reports))
             return [self.fail(reports[0], 1e-3)] if plus_fails else reports
 
-        monkeypatch.setattr(constellation, "not_rotations", minus_refused)
+        monkeypatch.setattr(constellation, "not_rotation", minus_refused)
         monkeypatch.setattr(constellation, "_self_check", check)
         if plus_fails:
             with pytest.raises(ConstellationSolveError, match="max residual 1.000e-03"):
@@ -212,7 +221,7 @@ class TestRefusalOrder:
         else:
             with pytest.raises(ValueError, match="special orthogonal"):
                 constellation.solve_constellations(*self.PHIS)
-        assert checked == [1]
+        assert checked == [1] and len(built) == 5
 
 
 # --- row kernels ---------------------------------------------------------------
@@ -320,7 +329,7 @@ class TestRowKernels:
             assert bits([new.point, new.direction]) == bits([old.point, old.direction])
         R = random_rotations(rng, 400)
         R[::2] += 10.0 ** rng.uniform(-14, -10, (200, 1, 1)) * rng.standard_normal((200, 3, 3))
-        refused = constellation.not_rotations(R)
+        refused = [constellation.not_rotation(Rk.T.tolist()) for Rk in R]
         for Rk, flag in zip(R, refused):
             try:
                 oracles.SeqFrame(0.5, Rk, np.zeros(3))

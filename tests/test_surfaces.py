@@ -1,5 +1,7 @@
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -158,6 +160,13 @@ class TestModelMaps:
             d2 = dist_ball(halfspace_to_ball(p), halfspace_to_ball(q))
             assert d1 == pytest.approx(d2, rel=1e-10, abs=1e-12)
 
+    def test_far_point(self):
+        # within rounding of (0, -1, 0): no square of (u, v, w + 1) overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p = halfspace_to_ball(catenoid_cousin_point(0.3, 300.0, 0.0))
+        assert np.all(np.isfinite(p)) and np.abs(p - (0.0, -1.0, 0.0)).max() <= 1e-16
+
     def test_boundary_rejected(self):
         with pytest.raises(ValueError):
             halfspace_to_ball([0.0, 0.0, 0.0])
@@ -267,6 +276,29 @@ class TestSurfaceGrid:
             for i, x in enumerate(xs):
                 want = oracles.mp_grid_normal(lam, x, y, ball)
                 assert np.abs(grid.normals[j, i] - want).max() <= 1e-14
+
+    @pytest.mark.parametrize("lam, lo, hi", [
+        (1e-8, 400.0, 401.0), (-1e-6, 400.0, 401.0), (0.05, 400.0, 401.0),
+        (0.3, -300.0, 300.0), (1.0, 0.0, 300.0), (100.0, -30.0, 30.0),
+    ])
+    def test_far_ball_cousin_against_mpmath(self, lam, lo, hi):
+        # |P - c|^2 of these nodes overflows unless P - c is scaled first
+        xs = np.linspace(lo, hi, 5)
+        ys = np.linspace(0.0, cousin_period(lam), 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            grid = surface_grid("cousin", lam, xs, ys, ball_model=True)
+        far = 0
+        for j, y in enumerate(ys):
+            for i, x in enumerate(xs):
+                with mpmath.workdps(oracles.SURFACE_DPS):
+                    point = oracles._mp_cousin(mpmath.mpf(lam), mpmath.mpf(x), mpmath.mpf(y))
+                    want = np.array([float(c) for c in oracles._mp_ball(point)])
+                    far += sum(c * c for c in point) > 1e300
+                assert np.abs(grid.positions[j, i] - want).max() <= 1e-14
+                want = oracles.mp_grid_normal(lam, x, y, True)
+                assert np.abs(grid.normals[j, i] - want).max() <= 1e-14
+        assert far > 0
 
     @pytest.mark.parametrize("kind", ["helicoid", "catenoid"])
     @pytest.mark.parametrize("lam", [0.3, -0.2])
